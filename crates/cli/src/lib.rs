@@ -20,10 +20,10 @@
 //!            [--metrics text|json|prom]
 //! bnb serve [--addr 127.0.0.1:0] [--inputs 64] [--workers 2] [--queue 8]
 //!           [--threads 0] [--window 32] [--tenant-keys FILE]
-//!           [--tenant-quota 4] [--max-conns 64] [--read-timeout-ms 100]
-//!           [--slow-ms 0] [--record FILE] [--chaos] [--shards 2]
-//!           [--chaos-ops 16] [--chaos-interval-ms 50] [--seed ..]
-//!           [--chaos-out FILE] [--pretty]
+//!           [--tenant-quota 4] [--max-conns 64] [--slow-ms 0]
+//!           [--record FILE] [--chaos] [--shards 2] [--chaos-ops 16]
+//!           [--chaos-interval-ms 50] [--seed ..] [--chaos-out FILE]
+//!           [--pretty]
 //! bnb loadgen [--addr 127.0.0.1:9500] [--tenants 4] [--connections A,B,..]
 //!             [--frames 64] [--inputs 64] [--mode closed|open]
 //!             [--inflight 4] [--window W] [--qps 500] [--tenant-keys FILE]
@@ -284,10 +284,10 @@ pub fn usage() -> String {
                   ([--addr 127.0.0.1:0] [--inputs 64] [--workers 2]\n\
                   [--queue 8] [--threads 0 (= cores) reactor threads]\n\
                   [--window 32 per-conn pipeline] [--tenant-keys FILE]\n\
-                  [--tenant-quota 4] [--max-conns 64]\n\
-                  [--read-timeout-ms 100] [--pretty]); HTTP GET /metrics\n\
-                  on the same port serves Prometheus metrics with\n\
-                  per-stage/per-tenant telemetry, GET /status a JSON\n\
+                  [--tenant-quota 4] [--max-conns 64] [--pretty]);\n\
+                  HTTP GET /metrics on the same port serves Prometheus\n\
+                  metrics with per-stage/per-tenant telemetry,\n\
+                  GET /status a JSON\n\
                   status snapshot; --slow-ms N samples requests slower\n\
                   than N ms into the --record FILE flight recording;\n\
                   with --chaos, a seeded fault-injection thread damages\n\
@@ -1706,7 +1706,6 @@ mod tests {
         assert!(run_str(&["serve", "--inputs", "12"]).is_err());
         assert!(run_str(&["serve", "--inputs", "1"]).is_err());
         assert!(run_str(&["serve", "--queue", "many"]).is_err());
-        assert!(run_str(&["serve", "--read-timeout-ms", "soon"]).is_err());
         assert!(run_str(&["serve", "--shards", "0"]).is_err());
         assert!(run_str(&["serve", "--chaos-ops", "99999"]).is_err());
         assert!(run_str(&["serve", "--chaos-interval-ms", "soon"]).is_err());

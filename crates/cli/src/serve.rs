@@ -81,7 +81,6 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         queue_capacity: flags.usize_or("--queue", 8)?.max(1),
         tenant_quota: flags.usize_or("--tenant-quota", 4)?.max(1),
         max_connections: flags.usize_or("--max-conns", 64)?.max(1),
-        read_timeout: Duration::from_millis(u64_or(flags, "--read-timeout-ms", 100)?.max(1)),
         slow_ms: u64_or(flags, "--slow-ms", 0)?,
         reactor_threads: flags.usize_or("--threads", 0)?,
         window: flags.usize_or("--window", 32)?.max(1),
@@ -220,9 +219,10 @@ pub(crate) fn cmd_loadgen(flags: &Flags) -> Result<String, CliError> {
         Some(list) => {
             let mut counts = Vec::new();
             for part in list.split(',') {
-                let n: usize = part.trim().parse().map_err(|_| {
-                    err(format!("--connections expects integers, got '{part}'"))
-                })?;
+                let n: usize = part
+                    .trim()
+                    .parse()
+                    .map_err(|_| err(format!("--connections expects integers, got '{part}'")))?;
                 if n == 0 || n > 65_535 {
                     return Err(err(format!("--connections expects 1..=65535, got {n}")));
                 }

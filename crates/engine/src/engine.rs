@@ -32,13 +32,21 @@
 //!
 //! # Batched submission
 //!
-//! [`EngineHandle::submit_batch`] feeds a whole
-//! [`bnb_core::batch::FrameBatch`] to one worker, which routes every
-//! frame in a single batched-kernel invocation
-//! ([`bnb_core::batch::route_batch`]) and publishes one in-order result
+//! [`EngineHandle::submit`] also takes a whole
+//! [`bnb_core::batch::FrameBatch`], which one worker routes through a
+//! single batched-kernel invocation
+//! ([`bnb_core::batch::route_batch`]), publishing one in-order result
 //! per frame. This keeps every SWAR word of the routing kernel fully
 //! occupied regardless of network size, where per-frame submission leaves
 //! `64 - 2^m` of 64 lanes idle for small networks.
+//!
+//! # Fault tolerance
+//!
+//! [`Engine::run_scrubbed`] runs the same session over a
+//! [`LiveFaultPlan`]. Every frame then routes whole on one fabric shard;
+//! a frame whose attempt trips the output balance check (Theorem 3) is
+//! retried on a healthy shard under the plan's [`RetryPolicy`] and
+//! drains as [`EngineError::Quarantined`] once the budget is spent.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,18 +55,17 @@ use std::time::{Duration, Instant};
 
 use bnb_core::batch::{route_batch, BatchOutcome, FrameBatch};
 use bnb_core::error::RouteError;
-use bnb_core::fault::FaultMap;
 use bnb_core::network::BnbNetwork;
 use bnb_core::stages::{validate_lines, RouteSpan, StageScratch};
 use bnb_obs::{DrainEvent, NoopObserver, Observer, RetryEvent, ShardEvent, SubmitEvent};
 use bnb_topology::record::Record;
 
 use crate::error::EngineError;
-use crate::hub::{CloseGuard, Hub, JobLatch, JobPayload, SliceTask, Work};
+use crate::hub::{CloseGuard, Hub, JobLatch, SliceTask, Work};
 use crate::live::{scrubber_loop, LiveFaultPlan};
 use crate::stats::{EngineStats, LatencySummary, WorkerMetrics};
 
-pub use crate::hub::{BatchSubmitError, RoutedBatch, SubmitError};
+pub use crate::hub::{Payload, RoutedBatch, Submission, SubmitError};
 
 /// How deep to split each batch into independent subnetwork slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -103,11 +110,11 @@ impl EngineConfig {
     }
 }
 
-/// Retry budget for batches hitting hardware faults in
-/// [`Engine::run_faulted`].
+/// Retry budget for frames hitting hardware faults under a
+/// [`LiveFaultPlan`] (see [`Engine::run_scrubbed`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total route attempts per batch (the initial try plus retries,
+    /// Total route attempts per frame (the initial try plus retries,
     /// minimum 1).
     pub max_attempts: usize,
     /// Base backoff slept before retry `k` is `backoff * 2^(k-1)`
@@ -121,70 +128,6 @@ impl Default for RetryPolicy {
             max_attempts: 3,
             backoff: Duration::from_micros(50),
         }
-    }
-}
-
-/// Per-fabric-shard fault assignment for [`Engine::run_faulted`]: shard
-/// `i` routes through `FaultMap` `i`, and a batch that detects a hardware
-/// fault is retried on the next shard (round-robin) under the
-/// [`RetryPolicy`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
-    shards: Vec<FaultMap>,
-    retry: RetryPolicy,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::healthy(1)
-    }
-}
-
-impl FaultPlan {
-    /// A plan with one fault map per fabric shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
-    pub fn new(shards: Vec<FaultMap>, retry: RetryPolicy) -> Self {
-        assert!(!shards.is_empty(), "a fault plan needs at least one shard");
-        FaultPlan { shards, retry }
-    }
-
-    /// Every shard healthy (routing is then identical to [`Engine::run`]).
-    pub fn healthy(shards: usize) -> Self {
-        FaultPlan::new(vec![FaultMap::new(); shards.max(1)], RetryPolicy::default())
-    }
-
-    /// The same faults on every shard (no healthy shard to retry onto).
-    pub fn uniform(faults: FaultMap, shards: usize) -> Self {
-        FaultPlan::new(vec![faults; shards.max(1)], RetryPolicy::default())
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Number of fabric shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shard `i`'s fault map (wrapping).
-    pub fn shard(&self, i: usize) -> &FaultMap {
-        &self.shards[i % self.shards.len()]
-    }
-
-    /// The retry policy.
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
-    }
-
-    /// Whether every shard is fault-free.
-    pub fn is_healthy(&self) -> bool {
-        self.shards.iter().all(FaultMap::is_empty)
     }
 }
 
@@ -267,94 +210,28 @@ impl<O: Observer> Engine<O> {
     /// Spawns the worker pool, runs `f` with a submit/drain handle, then
     /// drains remaining work and joins every worker.
     pub fn run<R>(&self, f: impl FnOnce(&EngineHandle<'_, O>) -> R) -> R {
-        let workers = self.config.workers.max(1);
-        let depth = self.effective_depth();
-        let hub = Hub::new(self.config.queue_capacity);
-        let counters: Vec<WorkerCounters> =
-            (0..workers).map(|_| WorkerCounters::default()).collect();
-        let started = Instant::now();
-        let network = self.network;
-        let observer = &self.observer;
-        thread::scope(|s| {
-            let hub_ref = &hub;
-            for slot in &counters {
-                s.spawn(move || worker_loop(hub_ref, network, depth, slot, observer));
-            }
-            let handle = EngineHandle {
-                hub: &hub,
-                counters: &counters,
-                workers,
-                depth,
-                started,
-                observer,
-            };
-            // Closes the hub even if `f` panics, so the scope can join.
-            let _guard = CloseGuard(&hub);
-            f(&handle)
-        })
+        self.session(None, f)
     }
 
-    /// [`Engine::run`] over damaged hardware: each worker owns a fabric
-    /// shard whose [`FaultMap`] comes from `plan`, and a batch that
-    /// detects a hardware fault is retried on the next shard
-    /// (round-robin) with exponential backoff, up to the plan's
-    /// [`RetryPolicy`] budget. Exhausted batches drain as
-    /// [`EngineError::Quarantined`] with the fault site in the
-    /// [`source`](std::error::Error::source) chain; batches that land on
-    /// a healthy (or harmlessly faulted) shard route byte-identically to
-    /// the sequential route.
-    ///
-    /// Faulted mode routes each attempt sequentially on the owning
-    /// worker (no intra-batch slice splitting), so which faults a batch
-    /// meets depends only on its owner and attempt number — deterministic
-    /// per shard assignment, not per scheduling accident. A fully healthy
-    /// plan delegates to [`Engine::run`] unchanged.
-    pub fn run_faulted<R>(&self, plan: &FaultPlan, f: impl FnOnce(&EngineHandle<'_, O>) -> R) -> R {
-        if plan.is_healthy() {
-            return self.run(f);
-        }
-        let workers = self.config.workers.max(1);
-        let hub = Hub::new(self.config.queue_capacity);
-        let counters: Vec<WorkerCounters> =
-            (0..workers).map(|_| WorkerCounters::default()).collect();
-        let started = Instant::now();
-        let network = self.network;
-        let observer = &self.observer;
-        thread::scope(|s| {
-            let hub_ref = &hub;
-            for (worker, slot) in counters.iter().enumerate() {
-                s.spawn(move || {
-                    worker_loop_faulted(hub_ref, network, slot, observer, plan, worker)
-                });
-            }
-            let handle = EngineHandle {
-                hub: &hub,
-                counters: &counters,
-                workers,
-                depth: 0,
-                started,
-                observer,
-            };
-            let _guard = CloseGuard(&hub);
-            f(&handle)
-        })
-    }
-
-    /// [`Engine::run_faulted`] with *live* repair: the fault maps in
-    /// `plan` may change while the engine routes (a chaos driver
-    /// injecting and clearing faults concurrently), workers steer
-    /// batches onto healthy fabric shards, and a background scrubber
-    /// thread probes suspect shards between drains — quarantining
-    /// confirmed faults and restoring capacity when transients clear —
-    /// without ever pausing submit/drain.
+    /// [`Engine::run`] over live, possibly damaged hardware: the fault
+    /// maps in `plan` may change while the engine routes (a chaos driver
+    /// injecting and clearing faults concurrently), workers steer frames
+    /// onto healthy fabric shards, and a background scrubber thread
+    /// probes suspect shards between drains — quarantining confirmed
+    /// faults and restoring capacity when transients clear — without ever
+    /// pausing submit/drain.
     ///
     /// The repair loop:
     ///
-    /// - A batch attempt that trips the output balance check demotes its
-    ///   shard to [`ShardHealth::Suspect`] and retries on the next
-    ///   healthy shard under the plan's [`RetryPolicy`]; with no healthy
-    ///   shard left, attempts fall back to plain round-robin so traffic
-    ///   keeps flowing degraded rather than stalling.
+    /// - Every frame routes whole on one shard (no intra-frame slice
+    ///   splitting), through a snapshot of that shard's fault map. An
+    ///   attempt that trips the output balance check demotes its shard to
+    ///   [`ShardHealth::Suspect`](crate::ShardHealth::Suspect) and retries
+    ///   on the next healthy shard with exponential backoff under the
+    ///   plan's [`RetryPolicy`]; with no healthy shard left, attempts fall
+    ///   back to plain round-robin so traffic keeps flowing degraded
+    ///   rather than stalling. A [`FrameBatch`] is unbundled, and each of
+    ///   its frames retries under its own sequence number.
     /// - The scrubber probes every non-healthy shard with seeded test
     ///   permutations on a private fabric. A dirty probe confirms the
     ///   fault ([`bnb_obs::RepairEvent`] with `restored: false`); a
@@ -362,46 +239,66 @@ impl<O: Observer> Engine<O> {
     ///   ([`bnb_obs::RepairEvent`] with `restored: true`). Every probe
     ///   emits a [`bnb_obs::ScrubEvent`].
     ///
-    /// Batches that exhaust the retry budget drain as
-    /// [`EngineError::Quarantined`], exactly like [`Engine::run_faulted`];
-    /// delivered frames are always correct — the balance check makes
+    /// Frames that exhaust the retry budget drain as
+    /// [`EngineError::Quarantined`] with the fault site in the
+    /// [`source`](std::error::Error::source) chain; traffic errors
+    /// (validation, unbalanced input) are terminal on the first attempt.
+    /// Delivered frames are always correct — the balance check makes
     /// misdelivery detectable, so a fault either surfaces as an error or
-    /// the frame routed cleanly (Theorem 3).
+    /// the frame routed cleanly (Theorem 3). A healthy plan routes
+    /// byte-identically to [`Engine::run`].
     pub fn run_scrubbed<R>(
         &self,
         plan: &LiveFaultPlan,
         f: impl FnOnce(&EngineHandle<'_, O>) -> R,
     ) -> R {
+        self.session(Some(plan), f)
+    }
+
+    /// The one routing session behind [`Engine::run`] and
+    /// [`Engine::run_scrubbed`]: spawns the workers (and, under a plan,
+    /// the scrubber), runs `f`, then closes the hub and joins everything.
+    fn session<R>(
+        &self,
+        plan: Option<&LiveFaultPlan>,
+        f: impl FnOnce(&EngineHandle<'_, O>) -> R,
+    ) -> R {
         let workers = self.config.workers.max(1);
+        // Under a plan a frame routes whole on one shard, so the faults it
+        // meets depend on the shard alone, never on how it was sliced.
+        let depth = if plan.is_some() {
+            0
+        } else {
+            self.effective_depth()
+        };
         let hub = Hub::new(self.config.queue_capacity);
         let counters: Vec<WorkerCounters> =
             (0..workers).map(|_| WorkerCounters::default()).collect();
-        let started = Instant::now();
-        let network = self.network;
-        let observer = &self.observer;
         let stop = AtomicBool::new(false);
+        let started = Instant::now();
+        let net = self.network;
+        let observer = &self.observer;
         thread::scope(|s| {
-            let hub_ref = &hub;
-            let stop_ref = &stop;
-            for (worker, slot) in counters.iter().enumerate() {
-                s.spawn(move || {
-                    worker_loop_scrubbed(hub_ref, network, slot, observer, plan, worker)
-                });
+            let (hub, stop) = (&hub, &stop);
+            for (index, slot) in counters.iter().enumerate() {
+                s.spawn(move || Worker::new(hub, net, depth, plan, index, slot, observer).run());
             }
-            s.spawn(move || scrubber_loop(stop_ref, network, plan, observer));
+            if let Some(plan) = plan {
+                s.spawn(move || scrubber_loop(stop, net, plan, observer));
+            }
             let handle = EngineHandle {
-                hub: &hub,
+                hub,
                 counters: &counters,
                 workers,
-                depth: 0,
+                depth,
                 started,
                 observer,
             };
             // Drop order is reverse of declaration: the hub closes first
             // (workers drain and exit), then the scrubber is stopped —
             // both fire even if `f` panics, so the scope always joins.
-            let _stop_scrubber = StopGuard(&stop);
-            let _guard = CloseGuard(&hub);
+            let _stop_scrubber = StopGuard(stop);
+            let _close_hub = CloseGuard(hub);
             f(&handle)
         })
     }
@@ -427,96 +324,48 @@ pub struct EngineHandle<'a, O: Observer = NoopObserver> {
 }
 
 impl<O: Observer> EngineHandle<'_, O> {
-    /// Submits one batch (a full frame of records), blocking while the
-    /// bounded queue is full. Returns the batch's sequence number;
-    /// [`Self::drain`] yields results in sequence order.
-    pub fn submit(&self, lines: Vec<Record>) -> u64 {
-        let records = lines.len();
-        let seq = self.hub.submit(lines);
-        if self.observer.enabled() {
-            self.observer.batch_submitted(SubmitEvent { seq, records });
-        }
-        seq
-    }
-
-    /// Non-blocking [`Self::submit`]: rejects the batch instead of
-    /// waiting when the bounded queue is full
-    /// ([`SubmitError::Full`]) or the engine is past
-    /// [`Self::drain_and_close`] ([`SubmitError::Closed`]), handing the
-    /// records back inside the error. This is the admission-control
-    /// primitive: a front door that checks occupancy before offering can
-    /// turn `Full` into an explicit `RETRY` instead of blocking a shared
-    /// dispatch thread.
-    pub fn try_submit(&self, lines: Vec<Record>) -> Result<u64, SubmitError> {
-        let records = lines.len();
-        let seq = self.hub.try_submit(lines)?;
-        if self.observer.enabled() {
-            self.observer.batch_submitted(SubmitEvent { seq, records });
-        }
-        Ok(seq)
-    }
-
-    /// [`Self::try_submit`] with a caller completion-routing token: the
-    /// frame's [`RoutedBatch`] carries `token` back verbatim. Serving
-    /// front-ends key the token by connection so completions fan out to
-    /// the owning socket without a shared side table. `0` = untagged.
-    pub fn try_submit_tagged(&self, lines: Vec<Record>, token: u64) -> Result<u64, SubmitError> {
-        let records = lines.len();
-        let seq = self.hub.try_submit_tagged(lines, token)?;
-        if self.observer.enabled() {
-            self.observer.batch_submitted(SubmitEvent { seq, records });
-        }
-        Ok(seq)
-    }
-
-    /// Non-blocking [`Self::submit_batch`] with per-frame completion
-    /// tokens (`tokens[f]` rides back on frame `f`'s [`RoutedBatch`]):
-    /// rejects instead of waiting when the bounded queue is full or the
-    /// engine is closed, handing the whole batch back inside the error.
-    /// `tokens` must be empty or exactly `batch.frames()` long.
+    /// Submits one frame (`Vec<Record>`), a whole [`FrameBatch`], or a
+    /// tagged [`Submission`], blocking while the bounded queue is full.
+    /// Returns the first sequence number: a batch reserves one per frame,
+    /// and frame `f` drains as `seq + f`, as its own [`RoutedBatch`], so
+    /// [`Self::drain`] loops need no batch awareness.
     ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or `tokens` has the wrong length.
-    pub fn try_submit_batch(
-        &self,
-        batch: FrameBatch,
-        tokens: &[u64],
-    ) -> Result<u64, BatchSubmitError> {
-        let frames = batch.frames() as u64;
-        let records = batch.width();
-        let seq = self.hub.try_submit_batch(batch, tokens)?;
-        if self.observer.enabled() {
-            for f in 0..frames {
-                self.observer.batch_submitted(SubmitEvent {
-                    seq: seq + f,
-                    records,
-                });
-            }
-        }
-        Ok(seq)
-    }
-
-    /// Submits a whole [`FrameBatch`] as one job, blocking while the
-    /// bounded queue is full. Reserves one sequence number per frame and
-    /// returns the first: frame `f` of the batch drains as `seq + f`, as
-    /// its own [`RoutedBatch`], so drain loops need no batch awareness.
-    ///
-    /// The owning worker routes all frames through `bnb-core`'s batched
+    /// A single frame is sharded across workers by the recursive split; a
+    /// batch is routed by its owning worker through `bnb-core`'s batched
     /// word-parallel kernel ([`bnb_core::batch::route_batch`]) in one
-    /// invocation — full SWAR word occupancy regardless of `m` — instead
-    /// of sharding a single frame across workers. Per-frame validation
-    /// failures surface as per-frame [`EngineError`]s; valid frames in the
-    /// same batch still route.
+    /// invocation. Per-frame validation failures surface as per-frame
+    /// [`EngineError`]s; valid frames in the same batch still route.
     ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or the engine is past
+    /// Panics if the submission carries no frames or the engine is past
     /// [`Self::drain_and_close`].
-    pub fn submit_batch(&self, batch: FrameBatch) -> u64 {
-        let frames = batch.frames() as u64;
-        let records = batch.width();
-        let seq = self.hub.submit_batch(batch);
+    pub fn submit(&self, work: impl Into<Submission>) -> u64 {
+        match self.enqueue(work.into(), true) {
+            Ok(seq) => seq,
+            Err(e) => panic!("submit after drain_and_close: {e}"),
+        }
+    }
+
+    /// Non-blocking [`Self::submit`]: rejects the submission instead of
+    /// waiting when the bounded queue is full ([`SubmitError::Full`]) or
+    /// the engine is past [`Self::drain_and_close`]
+    /// ([`SubmitError::Closed`]), handing it back inside the error. This
+    /// is the admission-control primitive: a front door that checks
+    /// occupancy before offering can turn `Full` into an explicit `RETRY`
+    /// instead of blocking a shared dispatch thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the submission carries no frames.
+    pub fn try_submit(&self, work: impl Into<Submission>) -> Result<u64, SubmitError> {
+        self.enqueue(work.into(), false)
+    }
+
+    fn enqueue(&self, work: Submission, block: bool) -> Result<u64, SubmitError> {
+        let frames = work.payload.frames() as u64;
+        let records = work.payload.width();
+        let seq = self.hub.enqueue(work, block)?;
         if self.observer.enabled() {
             for f in 0..frames {
                 self.observer.batch_submitted(SubmitEvent {
@@ -525,7 +374,7 @@ impl<O: Observer> EngineHandle<'_, O> {
                 });
             }
         }
-        seq
+        Ok(seq)
     }
 
     /// Graceful shutdown: rejects every submission from this point on
@@ -609,17 +458,6 @@ struct WorkerCounters {
     tasks_stolen: AtomicU64,
 }
 
-/// One-per-worker routing state, reused across every job and task the
-/// worker touches. The latch is rearmed for each job this worker owns, so
-/// even batch coordination allocates nothing in steady state.
-struct WorkerCtx {
-    scratch: StageScratch,
-    seen: Vec<usize>,
-    latch: Arc<JobLatch>,
-    /// Per-frame results of owned batch jobs, reused across batches.
-    outcome: BatchOutcome,
-}
-
 /// `ceil(log2(workers))`, clamped so slices never shrink below one line.
 fn auto_depth(workers: usize, m: usize) -> usize {
     if workers <= 1 {
@@ -629,405 +467,369 @@ fn auto_depth(workers: usize, m: usize) -> usize {
     (log as usize).min(m)
 }
 
-fn worker_loop<O: Observer>(
-    hub: &Hub,
+/// One worker thread: the session it serves plus routing state reused
+/// across every job and task it touches. The latch is rearmed for each
+/// job this worker owns, so even batch coordination allocates nothing in
+/// steady state.
+struct Worker<'s, O: Observer> {
+    hub: &'s Hub,
     net: BnbNetwork,
     depth: usize,
-    counters: &WorkerCounters,
-    observer: &O,
-) {
-    let observing = observer.enabled();
-    let mut ctx = WorkerCtx {
-        scratch: StageScratch::with_capacity(net.inputs()),
-        seen: Vec::new(),
-        latch: Arc::new(JobLatch::new(0)),
-        outcome: BatchOutcome::new(),
-    };
-    while let Some(work) = hub.next_work() {
-        let t0 = Instant::now();
-        match work {
-            Work::Task(task) => {
-                counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                if observing {
-                    observer.shard_stolen(shard_event(&task));
-                }
-                run_task(hub, task, &mut ctx, observer);
-            }
-            Work::Job(job) => {
-                counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
-                match job.payload {
-                    JobPayload::Frame(lines) => process_job(
-                        hub,
-                        job.seq,
-                        job.submitted_at,
-                        lines,
-                        net,
-                        depth,
-                        &mut ctx,
-                        counters,
-                        observer,
-                    ),
-                    JobPayload::Batch(batch) => process_job_batch(
-                        hub,
-                        job.seq,
-                        job.submitted_at,
-                        batch,
-                        net,
-                        &mut ctx,
-                        observer,
-                    ),
-                }
-            }
-        }
-        counters
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
+    /// The live fault plan, when the session routes over one.
+    plan: Option<&'s LiveFaultPlan>,
+    /// This worker's index, where its shard search starts under a plan.
+    index: usize,
+    counters: &'s WorkerCounters,
+    observer: &'s O,
+    scratch: StageScratch,
+    seen: Vec<usize>,
+    latch: Arc<JobLatch>,
+    /// Per-frame results of owned batch jobs, reused across batches.
+    outcome: BatchOutcome,
+    /// Per-attempt working copy of a frame under a plan: a failed attempt
+    /// leaves partially routed lines behind, so every attempt restarts
+    /// from the submitted order.
+    attempt: Vec<Record>,
 }
 
-fn worker_loop_faulted<O: Observer>(
-    hub: &Hub,
-    net: BnbNetwork,
-    counters: &WorkerCounters,
-    observer: &O,
-    plan: &FaultPlan,
-    worker: usize,
-) {
-    let mut ctx = WorkerCtx {
-        scratch: StageScratch::with_capacity(net.inputs()),
-        seen: Vec::new(),
-        latch: Arc::new(JobLatch::new(0)),
-        outcome: BatchOutcome::new(),
-    };
-    // Per-attempt working copy of the batch: a failed attempt leaves
-    // partially routed lines behind, so every attempt restarts from the
-    // submitted order. Reused across batches.
-    let mut attempt_buf: Vec<Record> = Vec::with_capacity(net.inputs());
-    while let Some(work) = hub.next_work() {
-        let t0 = Instant::now();
-        match work {
-            // Faulted mode never splits batches, so no slice tasks are
-            // produced; drain any defensively the same way `worker_loop`
-            // would.
-            Work::Task(task) => {
-                counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                run_task(hub, task, &mut ctx, observer);
-            }
-            Work::Job(job) => {
-                counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
-                match job.payload {
-                    JobPayload::Frame(lines) => process_frame_faulted(
-                        hub,
-                        job.seq,
-                        job.submitted_at,
-                        lines,
-                        net,
-                        &mut ctx,
-                        &mut attempt_buf,
-                        observer,
-                        plan,
-                        worker,
-                    ),
-                    // Fault campaigns need per-frame retry/quarantine
-                    // bookkeeping, so a batch is unbundled into frames and
-                    // each runs the exact per-frame path under its own
-                    // reserved sequence number.
-                    JobPayload::Batch(batch) => {
-                        for f in 0..batch.frames() {
-                            let mut lines = Vec::with_capacity(batch.width());
-                            batch.read_frame_into(f, &mut lines);
-                            process_frame_faulted(
-                                hub,
-                                job.seq + f as u64,
-                                job.submitted_at,
-                                lines,
-                                net,
-                                &mut ctx,
-                                &mut attempt_buf,
-                                observer,
-                                plan,
-                                worker,
-                            );
+impl<'s, O: Observer> Worker<'s, O> {
+    fn new(
+        hub: &'s Hub,
+        net: BnbNetwork,
+        depth: usize,
+        plan: Option<&'s LiveFaultPlan>,
+        index: usize,
+        counters: &'s WorkerCounters,
+        observer: &'s O,
+    ) -> Self {
+        Worker {
+            hub,
+            net,
+            depth,
+            plan,
+            index,
+            counters,
+            observer,
+            scratch: StageScratch::with_capacity(net.inputs()),
+            seen: Vec::new(),
+            latch: Arc::new(JobLatch::new(0)),
+            outcome: BatchOutcome::new(),
+            attempt: Vec::new(),
+        }
+    }
+
+    /// The worker loop: serves slice tasks and owned jobs until the hub
+    /// closes and empties. Without a plan, frames are sharded and batches
+    /// take the batched kernel; under a plan, every frame takes the retry
+    /// path.
+    fn run(mut self) {
+        while let Some(work) = self.hub.next_work() {
+            let t0 = Instant::now();
+            match work {
+                Work::Task(task) => self.steal(task),
+                Work::Job(job) => {
+                    self.counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
+                    let (seq, at) = (job.seq, job.submitted_at);
+                    match (job.payload, self.plan) {
+                        (Payload::Frame(lines), None) => self.process_job(seq, at, lines),
+                        (Payload::Batch(batch), None) => self.process_job_batch(seq, at, batch),
+                        (Payload::Frame(lines), Some(plan)) => {
+                            self.process_frame_retrying(plan, seq, at, lines)
+                        }
+                        (Payload::Batch(batch), Some(plan)) => {
+                            for f in 0..batch.frames() {
+                                let mut lines = Vec::with_capacity(batch.width());
+                                batch.read_frame_into(f, &mut lines);
+                                self.process_frame_retrying(plan, seq + f as u64, at, lines);
+                            }
                         }
                     }
                 }
             }
+            self.counters
+                .busy_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
-        counters
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
-}
 
-fn worker_loop_scrubbed<O: Observer>(
-    hub: &Hub,
-    net: BnbNetwork,
-    counters: &WorkerCounters,
-    observer: &O,
-    plan: &LiveFaultPlan,
-    worker: usize,
-) {
-    let mut ctx = WorkerCtx {
-        scratch: StageScratch::with_capacity(net.inputs()),
-        seen: Vec::new(),
-        latch: Arc::new(JobLatch::new(0)),
-        outcome: BatchOutcome::new(),
-    };
-    let mut attempt_buf: Vec<Record> = Vec::with_capacity(net.inputs());
-    while let Some(work) = hub.next_work() {
-        let t0 = Instant::now();
-        match work {
-            Work::Task(task) => {
-                counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                run_task(hub, task, &mut ctx, observer);
+    /// Runs a slice task taken from the shared queue.
+    fn steal(&mut self, task: SliceTask) {
+        self.counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
+        if self.observer.enabled() {
+            self.observer.shard_stolen(shard_event(&task));
+        }
+        self.run_task(task);
+    }
+
+    /// Checks a frame against the routing contract, publishing the
+    /// failure (and returning `false`) when it is malformed.
+    fn validate(&mut self, seq: u64, submitted_at: Instant, lines: &[Record]) -> bool {
+        match validate_lines(&self.net, lines, &mut self.seen) {
+            Ok(()) => true,
+            Err(e) => {
+                self.finish(seq, submitted_at, Err(EngineError::batch(seq, e)));
+                false
             }
-            Work::Job(job) => {
-                counters.jobs_owned.fetch_add(1, Ordering::Relaxed);
-                match job.payload {
-                    JobPayload::Frame(lines) => process_frame_scrubbed(
-                        hub,
-                        job.seq,
-                        job.submitted_at,
-                        lines,
-                        net,
-                        &mut ctx,
-                        &mut attempt_buf,
-                        observer,
-                        plan,
-                        worker,
-                    ),
-                    JobPayload::Batch(batch) => {
-                        for f in 0..batch.frames() {
-                            let mut lines = Vec::with_capacity(batch.width());
-                            batch.read_frame_into(f, &mut lines);
-                            process_frame_scrubbed(
-                                hub,
-                                job.seq + f as u64,
-                                job.submitted_at,
-                                lines,
-                                net,
-                                &mut ctx,
-                                &mut attempt_buf,
-                                observer,
-                                plan,
-                                worker,
-                            );
-                        }
-                    }
+        }
+    }
+
+    /// Routes one frame under the live fault plan: each attempt asks the
+    /// plan for a healthy shard (round-robin fallback when none is) and
+    /// routes through a point-in-time snapshot of that shard's fault map.
+    /// A detected hardware fault demotes the shard to suspect, so the
+    /// scrubber picks it up and later frames skip it, and retries after
+    /// exponential backoff; an exhausted budget publishes
+    /// [`EngineError::Quarantined`]. Other errors (unbalanced traffic)
+    /// are terminal at once — retrying cannot fix the input.
+    fn process_frame_retrying(
+        &mut self,
+        plan: &LiveFaultPlan,
+        seq: u64,
+        submitted_at: Instant,
+        mut lines: Vec<Record>,
+    ) {
+        if !self.validate(seq, submitted_at, &lines) {
+            return;
+        }
+        let retry = plan.retry();
+        let attempts = retry.max_attempts.max(1);
+        let mut last_fault = None;
+        for attempt in 0..attempts {
+            let shard = plan.pick_shard(self.index, attempt);
+            if attempt > 0 {
+                let backoff = retry
+                    .backoff
+                    .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
+                if !backoff.is_zero() {
+                    thread::sleep(backoff);
+                }
+                if self.observer.enabled() {
+                    self.observer.batch_retried(RetryEvent {
+                        seq,
+                        attempt,
+                        shard,
+                    });
                 }
             }
+            self.attempt.clear();
+            self.attempt.extend_from_slice(&lines);
+            let faults = plan.faults_snapshot(shard);
+            match RouteSpan::new()
+                .observer(self.observer)
+                .faults(&faults)
+                .run(
+                    &self.net,
+                    &mut self.attempt,
+                    0,
+                    0..self.net.m(),
+                    &mut self.scratch,
+                ) {
+                Ok(()) => {
+                    lines.copy_from_slice(&self.attempt);
+                    return self.finish(seq, submitted_at, Ok(lines));
+                }
+                Err(e @ RouteError::HardwareFault { .. }) => {
+                    plan.mark_suspect(shard);
+                    last_fault = Some(e);
+                }
+                Err(e) => return self.finish(seq, submitted_at, Err(EngineError::batch(seq, e))),
+            }
         }
-        counters
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let source = last_fault.expect("the attempt loop ran and only exits early on success");
+        let quarantined = EngineError::quarantined(seq, attempts, source);
+        self.finish(seq, submitted_at, Err(quarantined));
     }
-}
 
-/// The live-repair variant of [`process_frame_faulted`]: each attempt
-/// asks the plan for a *healthy* shard (round-robin fallback when none
-/// is), routes through a point-in-time snapshot of that shard's live
-/// fault map, and demotes the shard to suspect on a detected hardware
-/// fault so the scrubber picks it up. Delivery semantics are unchanged:
-/// success, terminal traffic error, or quarantine after the retry
-/// budget.
-#[allow(clippy::too_many_arguments)]
-fn process_frame_scrubbed<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    mut lines: Vec<Record>,
-    net: BnbNetwork,
-    ctx: &mut WorkerCtx,
-    attempt_buf: &mut Vec<Record>,
-    observer: &O,
-    plan: &LiveFaultPlan,
-    worker: usize,
-) {
-    let observing = observer.enabled();
-    let records = lines.len();
-    if let Err(e) = validate_lines(&net, &lines, &mut ctx.seen) {
-        finish_observed(
-            hub,
+    /// Routes one frame as its owner: validate, split into `2^depth`
+    /// slice tasks, help until every slice lands, publish the result.
+    fn process_job(&mut self, seq: u64, submitted_at: Instant, mut lines: Vec<Record>) {
+        if !self.validate(seq, submitted_at, &lines) {
+            return;
+        }
+        #[cfg(debug_assertions)]
+        let reference = self.net.route(&lines);
+
+        // The latch travels behind an `Arc` so the last helper's
+        // completion can never outlive it; this worker's latch is rearmed
+        // per owned job.
+        self.latch.reset(1);
+        let root = SliceTask {
+            lines: lines.as_mut_ptr(),
+            len: lines.len(),
+            first_line: 0,
+            start_stage: 0,
+            split_until: self.depth.min(self.net.m()),
+            latch: Arc::clone(&self.latch),
+        };
+        self.run_task(root);
+        // Help with queued slice work (ours or anyone's) until our frame
+        // is fully routed.
+        while !self.latch.is_done() {
+            match self.hub.try_pop_task() {
+                Some(task) => self.steal(task),
+                None => self.latch.wait_brief(),
+            }
+        }
+        let result = match self.latch.take_error() {
+            Some(e) => Err(e),
+            None => Ok(lines),
+        };
+
+        // Error results are comparable too: `JobLatch::fail` keeps the
+        // earliest-scan-site error, which is the one the sequential route
+        // stops at.
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            result, reference,
+            "parallel routing diverged from the sequential reference"
+        );
+        self.finish(
             seq,
             submitted_at,
-            Err(EngineError::batch(seq, e)),
-            0,
-            observing,
-            observer,
+            result.map_err(|e| EngineError::batch(seq, e)),
         );
-        return;
     }
-    let attempts = plan.retry().max_attempts.max(1);
-    let mut last_fault = None;
-    for attempt in 0..attempts {
-        let shard = plan.pick_shard(worker, attempt);
-        if attempt > 0 {
-            let backoff = plan
-                .retry()
-                .backoff
-                .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
-            if !backoff.is_zero() {
-                thread::sleep(backoff);
-            }
-            if observing {
-                observer.batch_retried(RetryEvent {
-                    seq,
-                    attempt,
-                    shard,
-                });
-            }
-        }
-        attempt_buf.clear();
-        attempt_buf.extend_from_slice(&lines);
-        let faults = plan.faults_snapshot(shard);
-        match RouteSpan::new().observer(observer).faults(&faults).run(
-            &net,
-            attempt_buf,
-            0,
-            0..net.m(),
-            &mut ctx.scratch,
-        ) {
-            Ok(()) => {
-                lines.copy_from_slice(attempt_buf);
-                finish_observed(
-                    hub,
-                    seq,
-                    submitted_at,
-                    Ok(lines),
-                    records,
-                    observing,
-                    observer,
-                );
-                return;
-            }
-            Err(e @ RouteError::HardwareFault { .. }) => {
-                plan.mark_suspect(shard);
-                last_fault = Some(e);
-            }
-            Err(e) => {
-                finish_observed(
-                    hub,
-                    seq,
-                    submitted_at,
-                    Err(EngineError::batch(seq, e)),
-                    0,
-                    observing,
-                    observer,
-                );
-                return;
-            }
-        }
-    }
-    let source = last_fault.expect("the attempt loop ran and only exits early on success");
-    finish_observed(
-        hub,
-        seq,
-        submitted_at,
-        Err(EngineError::quarantined(seq, attempts, source)),
-        0,
-        observing,
-        observer,
-    );
-}
 
-/// Routes one batch through the faulted fabric: attempt `k` runs on shard
-/// `(worker + k) % plan.shards()`, hardware faults trigger a retry on the
-/// next shard after exponential backoff, and an exhausted budget
-/// publishes [`EngineError::Quarantined`]. Non-fault errors (validation,
-/// unbalanced traffic) are terminal immediately — retrying cannot fix the
-/// input.
-#[allow(clippy::too_many_arguments)]
-fn process_frame_faulted<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    mut lines: Vec<Record>,
-    net: BnbNetwork,
-    ctx: &mut WorkerCtx,
-    attempt_buf: &mut Vec<Record>,
-    observer: &O,
-    plan: &FaultPlan,
-    worker: usize,
-) {
-    let observing = observer.enabled();
-    let records = lines.len();
-    if let Err(e) = validate_lines(&net, &lines, &mut ctx.seen) {
-        finish_observed(
-            hub,
-            seq,
-            submitted_at,
-            Err(EngineError::batch(seq, e)),
-            0,
-            observing,
-            observer,
+    /// Routes one owned [`Payload::Batch`]: all frames through one
+    /// batched kernel invocation, then one published result per reserved
+    /// sequence number. Batch jobs are never sliced across workers —
+    /// parallelism comes from workers owning *different* batches, and the
+    /// batched kernel's full word occupancy replaces the intra-frame
+    /// split.
+    fn process_job_batch(&mut self, seq: u64, submitted_at: Instant, mut batch: FrameBatch) {
+        let frames = batch.frames();
+        let records = batch.width();
+        #[cfg(debug_assertions)]
+        let inputs = batch.to_frames();
+        // An enabled observer rides through RouteSpan: route_batch falls
+        // back to frame-at-a-time scalar routing so per-column events
+        // still fire, exactly as per-frame submission would.
+        let opts = if self.observer.enabled() {
+            RouteSpan::new().observer(self.observer)
+        } else {
+            RouteSpan::new()
+        };
+        route_batch(
+            &self.net,
+            &mut batch,
+            &opts,
+            &mut self.scratch,
+            &mut self.outcome,
         );
-        return;
-    }
-    let attempts = plan.retry().max_attempts.max(1);
-    let mut last_fault = None;
-    for attempt in 0..attempts {
-        let shard = (worker + attempt) % plan.shards();
-        if attempt > 0 {
-            let backoff = plan
-                .retry()
-                .backoff
-                .saturating_mul(1u32 << (attempt - 1).min(16) as u32);
-            if !backoff.is_zero() {
-                thread::sleep(backoff);
+        // `inputs` exists only under debug_assertions, so the loop cannot
+        // be rewritten over it without forking on cfg.
+        #[allow(clippy::needless_range_loop)]
+        for f in 0..frames {
+            let fseq = seq + f as u64;
+            let result = match &self.outcome.results()[f] {
+                Ok(()) => {
+                    let mut out = Vec::with_capacity(records);
+                    batch.read_frame_into(f, &mut out);
+                    Ok(out)
+                }
+                Err(e) => Err(EngineError::batch(fseq, e.clone())),
+            };
+            // The batched kernel must be indistinguishable from routing
+            // each frame alone through the sequential reference.
+            #[cfg(debug_assertions)]
+            {
+                let reference = self.net.route(&inputs[f]);
+                match (&result, &reference) {
+                    (Ok(got), Ok(want)) => debug_assert_eq!(
+                        got, want,
+                        "batched routing diverged from the sequential reference"
+                    ),
+                    (Err(got), Err(want)) => debug_assert_eq!(
+                        got.route_error(),
+                        want,
+                        "batched error diverged from the sequential reference"
+                    ),
+                    _ => panic!("batched result status diverged from the sequential reference"),
+                }
             }
-            if observing {
-                observer.batch_retried(RetryEvent {
-                    seq,
-                    attempt,
-                    shard,
-                });
-            }
-        }
-        attempt_buf.clear();
-        attempt_buf.extend_from_slice(&lines);
-        match RouteSpan::new()
-            .observer(observer)
-            .faults(plan.shard(shard))
-            .run(&net, attempt_buf, 0, 0..net.m(), &mut ctx.scratch)
-        {
-            Ok(()) => {
-                lines.copy_from_slice(attempt_buf);
-                finish_observed(
-                    hub,
-                    seq,
-                    submitted_at,
-                    Ok(lines),
-                    records,
-                    observing,
-                    observer,
-                );
-                return;
-            }
-            Err(e @ RouteError::HardwareFault { .. }) => last_fault = Some(e),
-            Err(e) => {
-                finish_observed(
-                    hub,
-                    seq,
-                    submitted_at,
-                    Err(EngineError::batch(seq, e)),
-                    0,
-                    observing,
-                    observer,
-                );
-                return;
-            }
+            self.finish(fseq, submitted_at, result);
         }
     }
-    let source = last_fault.expect("the attempt loop ran and only exits early on success");
-    finish_observed(
-        hub,
-        seq,
-        submitted_at,
-        Err(EngineError::quarantined(seq, attempts, source)),
-        0,
-        observing,
-        observer,
-    );
+
+    /// Publishes a frame's result and, when observing, emits the matching
+    /// [`DrainEvent`] (the event carries submit-to-publish latency,
+    /// measured here because `drain` itself never learns it).
+    fn finish(&self, seq: u64, submitted_at: Instant, result: Result<Vec<Record>, EngineError>) {
+        let records = result.as_ref().map_or(0, Vec::len);
+        let ok = result.is_ok();
+        self.hub.finish(seq, submitted_at, result);
+        if self.observer.enabled() {
+            let latency_ns = submitted_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            self.observer.batch_drained(DrainEvent {
+                seq,
+                records,
+                latency_ns,
+                ok,
+            });
+        }
+    }
+
+    /// Routes a slice task: one main stage at a time while splitting is
+    /// still wanted (pushing the sibling half to the hub), then the
+    /// remaining stages sequentially.
+    fn run_task(&mut self, task: SliceTask) {
+        let net = self.net;
+        let m = net.m();
+        let latch = &task.latch;
+        // SAFETY: the owning worker keeps the frame vector alive until
+        // the latch (which we complete below, after the last use) reports
+        // done, and sibling tasks cover disjoint ranges.
+        let mut lines = unsafe { std::slice::from_raw_parts_mut(task.lines, task.len) };
+        // Splits always keep the aligned low half, so our first line
+        // never moves.
+        let first_line = task.first_line;
+        let mut stage = task.start_stage;
+        loop {
+            if stage >= task.split_until || stage >= m || lines.len() < 2 {
+                let tail = RouteSpan::new().observer(self.observer).run(
+                    &net,
+                    lines,
+                    first_line,
+                    stage..m,
+                    &mut self.scratch,
+                );
+                match tail {
+                    Ok(()) => latch.complete_one(),
+                    Err(e) => latch.fail(e),
+                }
+                return;
+            }
+            // Route this main stage over the whole slice, then hand half
+            // of the now-independent subnetworks to any idle worker.
+            if let Err(e) = RouteSpan::new().observer(self.observer).run(
+                &net,
+                lines,
+                first_line,
+                stage..stage + 1,
+                &mut self.scratch,
+            ) {
+                latch.fail(e);
+                return;
+            }
+            stage += 1;
+            let half = lines.len() / 2;
+            let (keep, give) = lines.split_at_mut(half);
+            let sibling = SliceTask {
+                lines: give.as_mut_ptr(),
+                len: give.len(),
+                first_line: first_line + half,
+                start_stage: stage,
+                split_until: task.split_until,
+                latch: Arc::clone(&task.latch),
+            };
+            latch.add_one();
+            if self.observer.enabled() {
+                self.observer.shard_enqueued(shard_event(&sibling));
+            }
+            self.hub.push_task(sibling);
+            lines = keep;
+        }
+    }
 }
 
 /// The [`ShardEvent`] describing a queued slice task.
@@ -1039,253 +841,11 @@ fn shard_event(task: &SliceTask) -> ShardEvent {
     }
 }
 
-/// Routes one batch as its owner: validate, split into `2^depth` slice
-/// tasks, help until every slice lands, publish the result.
-#[allow(clippy::too_many_arguments)]
-fn process_job<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    mut lines: Vec<Record>,
-    net: BnbNetwork,
-    depth: usize,
-    ctx: &mut WorkerCtx,
-    counters: &WorkerCounters,
-    observer: &O,
-) {
-    let observing = observer.enabled();
-    let records = lines.len();
-    if let Err(e) = validate_lines(&net, &lines, &mut ctx.seen) {
-        finish_observed(
-            hub,
-            seq,
-            submitted_at,
-            Err(EngineError::batch(seq, e)),
-            0,
-            observing,
-            observer,
-        );
-        return;
-    }
-    #[cfg(debug_assertions)]
-    let reference = net.route(&lines);
-
-    // The latch travels behind an `Arc` so the last helper's completion
-    // can never outlive it; this worker's latch is rearmed per owned job.
-    ctx.latch.reset(1);
-    let root = SliceTask {
-        net,
-        lines: lines.as_mut_ptr(),
-        len: lines.len(),
-        first_line: 0,
-        start_stage: 0,
-        split_until: depth.min(net.m()),
-        latch: Arc::clone(&ctx.latch),
-    };
-    run_task(hub, root, ctx, observer);
-    // Help with queued slice work (ours or anyone's) until our batch is
-    // fully routed.
-    while !ctx.latch.is_done() {
-        match hub.try_pop_task() {
-            Some(task) => {
-                counters.tasks_stolen.fetch_add(1, Ordering::Relaxed);
-                if observing {
-                    observer.shard_stolen(shard_event(&task));
-                }
-                run_task(hub, task, ctx, observer);
-            }
-            None => ctx.latch.wait_brief(),
-        }
-    }
-    let result = match ctx.latch.take_error() {
-        Some(e) => Err(e),
-        None => Ok(lines),
-    };
-
-    // Error results are comparable too: `JobLatch::fail` keeps the
-    // earliest-scan-site error, which is the one the sequential route
-    // stops at.
-    #[cfg(debug_assertions)]
-    debug_assert_eq!(
-        result, reference,
-        "parallel routing diverged from the sequential reference"
-    );
-    finish_observed(
-        hub,
-        seq,
-        submitted_at,
-        result.map_err(|e| EngineError::batch(seq, e)),
-        records,
-        observing,
-        observer,
-    );
-}
-
-/// Routes one owned [`JobPayload::Batch`]: all frames through one batched
-/// kernel invocation, then one published result per reserved sequence
-/// number. Batch jobs are never sliced across workers — parallelism comes
-/// from workers owning *different* batches, and the batched kernel's full
-/// word occupancy replaces the intra-frame split.
-fn process_job_batch<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    mut batch: FrameBatch,
-    net: BnbNetwork,
-    ctx: &mut WorkerCtx,
-    observer: &O,
-) {
-    let observing = observer.enabled();
-    let frames = batch.frames();
-    let records = batch.width();
-    #[cfg(debug_assertions)]
-    let inputs = batch.to_frames();
-    // An enabled observer rides through RouteSpan: route_batch falls back
-    // to frame-at-a-time scalar routing so per-column events still fire,
-    // exactly as per-frame submission would.
-    let opts = if observing {
-        RouteSpan::new().observer(observer)
-    } else {
-        RouteSpan::new()
-    };
-    route_batch(&net, &mut batch, &opts, &mut ctx.scratch, &mut ctx.outcome);
-    // `inputs` exists only under debug_assertions, so the loop cannot be
-    // rewritten over it without forking on cfg.
-    #[allow(clippy::needless_range_loop)]
-    for f in 0..frames {
-        let fseq = seq + f as u64;
-        let result = match &ctx.outcome.results()[f] {
-            Ok(()) => {
-                let mut out = Vec::with_capacity(records);
-                batch.read_frame_into(f, &mut out);
-                Ok(out)
-            }
-            Err(e) => Err(EngineError::batch(fseq, e.clone())),
-        };
-        // The batched kernel must be indistinguishable from routing each
-        // frame alone through the sequential reference.
-        #[cfg(debug_assertions)]
-        {
-            let reference = net.route(&inputs[f]);
-            match (&result, &reference) {
-                (Ok(got), Ok(want)) => debug_assert_eq!(
-                    got, want,
-                    "batched routing diverged from the sequential reference"
-                ),
-                (Err(got), Err(want)) => debug_assert_eq!(
-                    got.route_error(),
-                    want,
-                    "batched error diverged from the sequential reference"
-                ),
-                _ => panic!("batched result status diverged from the sequential reference"),
-            }
-        }
-        finish_observed(
-            hub,
-            fseq,
-            submitted_at,
-            result,
-            records,
-            observing,
-            observer,
-        );
-    }
-}
-
-/// Publishes a batch result and, when observing, emits the matching
-/// [`DrainEvent`] (the event carries submit-to-publish latency, measured
-/// here because `drain` itself never learns it).
-#[allow(clippy::too_many_arguments)]
-fn finish_observed<O: Observer>(
-    hub: &Hub,
-    seq: u64,
-    submitted_at: Instant,
-    result: Result<Vec<Record>, EngineError>,
-    records: usize,
-    observing: bool,
-    observer: &O,
-) {
-    let ok = result.is_ok();
-    hub.finish(seq, submitted_at, result);
-    if observing {
-        let latency_ns = submitted_at.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        observer.batch_drained(DrainEvent {
-            seq,
-            records: if ok { records } else { 0 },
-            latency_ns,
-            ok,
-        });
-    }
-}
-
-/// Routes a slice task: one main stage at a time while splitting is still
-/// wanted (pushing the sibling half to the hub), then the remaining
-/// stages sequentially.
-fn run_task<O: Observer>(hub: &Hub, task: SliceTask, ctx: &mut WorkerCtx, observer: &O) {
-    let observing = observer.enabled();
-    let net = task.net;
-    let m = net.m();
-    let latch = &task.latch;
-    // SAFETY: the owning worker keeps the batch vector alive until the
-    // latch (which we complete below, after the last use) reports done,
-    // and sibling tasks cover disjoint ranges.
-    let mut lines = unsafe { std::slice::from_raw_parts_mut(task.lines, task.len) };
-    // Splits always keep the aligned low half, so our first line never
-    // moves.
-    let first_line = task.first_line;
-    let mut stage = task.start_stage;
-    loop {
-        if stage >= task.split_until || stage >= m || lines.len() < 2 {
-            let tail = RouteSpan::new().observer(observer).run(
-                &net,
-                lines,
-                first_line,
-                stage..m,
-                &mut ctx.scratch,
-            );
-            match tail {
-                Ok(()) => latch.complete_one(),
-                Err(e) => latch.fail(e),
-            }
-            return;
-        }
-        // Route this main stage over the whole slice, then hand half of
-        // the now-independent subnetworks to any idle worker.
-        if let Err(e) = RouteSpan::new().observer(observer).run(
-            &net,
-            lines,
-            first_line,
-            stage..stage + 1,
-            &mut ctx.scratch,
-        ) {
-            latch.fail(e);
-            return;
-        }
-        stage += 1;
-        let half = lines.len() / 2;
-        let (keep, give) = lines.split_at_mut(half);
-        let sibling = SliceTask {
-            net,
-            lines: give.as_mut_ptr(),
-            len: give.len(),
-            first_line: first_line + half,
-            start_stage: stage,
-            split_until: task.split_until,
-            latch: Arc::clone(&task.latch),
-        };
-        latch.add_one();
-        if observing {
-            observer.shard_enqueued(shard_event(&sibling));
-        }
-        hub.push_task(sibling);
-        lines = keep;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::live::ShardHealth;
+    use bnb_core::fault::FaultMap;
     use bnb_core::network::RoutePolicy;
     use bnb_obs::Counters;
     use bnb_topology::perm::Permutation;
@@ -1342,14 +902,21 @@ mod tests {
         let drained = engine.run(|h| {
             // One tagged single, then a 4-frame batch with distinct
             // per-frame tokens.
-            h.try_submit_tagged(records_for_permutation(&perms[0]), 0xAA)
-                .unwrap();
-            let mut batch = bnb_core::batch::FrameBatch::with_capacity(n, 4);
+            h.try_submit(Submission::tagged(
+                Payload::Frame(records_for_permutation(&perms[0])),
+                vec![0xAA],
+            ))
+            .unwrap();
+            let mut batch = FrameBatch::with_capacity(n, 4);
             for p in &perms[1..] {
                 batch.push_frame(&records_for_permutation(p));
             }
-            let tokens = [0x10u64, 0x20, 0x30, 0x40];
-            let base = h.try_submit_batch(batch, &tokens).unwrap();
+            let base = h
+                .try_submit(Submission::tagged(
+                    Payload::Batch(batch),
+                    vec![0x10, 0x20, 0x30, 0x40],
+                ))
+                .unwrap();
             assert_eq!(base, 1, "batch frames follow the single");
             (0..5).map(|_| h.drain().unwrap()).collect::<Vec<_>>()
         });
@@ -1600,7 +1167,7 @@ mod tests {
         assert!(lanes.len() >= 2, "expected multiple recorder lanes");
     }
 
-    /// Through `run_faulted`, the retry and the eventual drain of a batch
+    /// Under a fault plan, the retry and the eventual drain of a frame
     /// carry the same trace id (`seq`), so a recorder ties the whole
     /// retry chain together.
     #[test]
@@ -1611,14 +1178,14 @@ mod tests {
         let map = stuck_map();
         let (bad, _) = fault_sensitive_perms(net, &map, 43);
         let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &recorder);
-        let plan = FaultPlan::new(
+        let plan = fixed_plan(
             vec![map, FaultMap::new()],
             RetryPolicy {
                 max_attempts: 2,
                 backoff: Duration::ZERO,
             },
         );
-        let routed = engine.run_faulted(&plan, |h| {
+        let routed = engine.run_scrubbed(&plan, |h| {
             h.submit(bad.clone());
             h.drain().unwrap()
         });
@@ -1704,15 +1271,24 @@ mod tests {
         FaultMap::single(FaultSite::new(0, 0, 0), FaultKind::StuckExchange)
     }
 
-    /// A healthy plan is exactly `run`: byte-identical results.
+    /// A live plan whose shard `i` carries `faults[i]` from the start.
+    fn fixed_plan(faults: Vec<FaultMap>, retry: RetryPolicy) -> LiveFaultPlan {
+        let plan = LiveFaultPlan::healthy(faults.len()).with_retry(retry);
+        for (i, map) in faults.into_iter().enumerate() {
+            plan.set_faults(i, map);
+        }
+        plan
+    }
+
+    /// A healthy live plan routes byte-identically to `run`.
     #[test]
     fn healthy_plan_matches_run() {
         let net = BnbNetwork::new(3);
         let engine = Engine::new(net, EngineConfig::with_workers(2));
         let p = Permutation::try_from(vec![7, 6, 5, 4, 3, 2, 1, 0]).unwrap();
         let expected = net.route(&records_for_permutation(&p)).unwrap();
-        let plan = FaultPlan::healthy(2);
-        let routed = engine.run_faulted(&plan, |h| {
+        let plan = LiveFaultPlan::healthy(2);
+        let routed = engine.run_scrubbed(&plan, |h| {
             h.submit(records_for_permutation(&p));
             h.drain().unwrap()
         });
@@ -1730,11 +1306,14 @@ mod tests {
         let (bad, good) = fault_sensitive_perms(net, &map, 40);
         let expected_good = net.route(&good).unwrap();
         let engine = Engine::new(net, EngineConfig::with_workers(2));
-        let plan = FaultPlan::uniform(map, 2).with_retry(RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_micros(1),
-        });
-        let (first, second) = engine.run_faulted(&plan, |h| {
+        let plan = fixed_plan(
+            vec![map.clone(), map],
+            RetryPolicy {
+                max_attempts: 3,
+                backoff: Duration::from_micros(1),
+            },
+        );
+        let (first, second) = engine.run_scrubbed(&plan, |h| {
             h.submit(bad.clone());
             h.submit(good.clone());
             (h.drain().unwrap(), h.drain().unwrap())
@@ -1752,7 +1331,7 @@ mod tests {
     }
 
     /// One worker, shard 0 faulted and shard 1 healthy: the first attempt
-    /// fails, the retry lands on the healthy shard, and the batch drains
+    /// fails, the retry lands on the healthy shard, and the frame drains
     /// successfully — with the retry visible to the observer.
     #[test]
     fn retry_moves_batches_onto_healthy_shards() {
@@ -1763,14 +1342,14 @@ mod tests {
         let (bad, _) = fault_sensitive_perms(net, &map, 41);
         let expected = net.route(&bad).unwrap();
         let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &counters);
-        let plan = FaultPlan::new(
+        let plan = fixed_plan(
             vec![map, FaultMap::new()],
             RetryPolicy {
                 max_attempts: 2,
                 backoff: Duration::ZERO,
             },
         );
-        let routed = engine.run_faulted(&plan, |h| {
+        let routed = engine.run_scrubbed(&plan, |h| {
             h.submit(bad.clone());
             h.drain().unwrap()
         });
@@ -1789,14 +1368,14 @@ mod tests {
         let counters = Counters::new();
         let net = BnbNetwork::new(2);
         let engine = Engine::with_observer(net, EngineConfig::with_workers(1), &counters);
-        let plan = FaultPlan::uniform(stuck_map(), 2);
+        let plan = fixed_plan(vec![stuck_map(), stuck_map()], RetryPolicy::default());
         let dup = vec![
             Record::new(1, 0),
             Record::new(1, 1),
             Record::new(2, 2),
             Record::new(3, 3),
         ];
-        let routed = engine.run_faulted(&plan, |h| {
+        let routed = engine.run_scrubbed(&plan, |h| {
             h.submit(dup);
             h.drain().unwrap()
         });
@@ -1807,21 +1386,6 @@ mod tests {
             RouteError::DuplicateDestination { dest: 1, .. }
         ));
         assert_eq!(counters.snapshot().fault_retries, 0);
-    }
-
-    /// A healthy live plan routes byte-identically to `run`.
-    #[test]
-    fn scrubbed_healthy_plan_matches_run() {
-        let net = BnbNetwork::new(3);
-        let engine = Engine::new(net, EngineConfig::with_workers(2));
-        let p = Permutation::try_from(vec![7, 6, 5, 4, 3, 2, 1, 0]).unwrap();
-        let expected = net.route(&records_for_permutation(&p)).unwrap();
-        let plan = LiveFaultPlan::healthy(2);
-        let routed = engine.run_scrubbed(&plan, |h| {
-            h.submit(records_for_permutation(&p));
-            h.drain().unwrap()
-        });
-        assert_eq!(routed.result.unwrap(), expected);
     }
 
     /// The full live-repair loop: traffic hits an injected fault, the
@@ -1890,9 +1454,9 @@ mod tests {
         assert_eq!(snap.batch_errors, 0, "every batch ultimately delivered");
     }
 
-    /// With every shard faulted identically, a scrubbed run quarantines
-    /// the batch exactly like `run_faulted` — the fallback keeps trying
-    /// but the budget is finite.
+    /// With every shard faulted identically and one worker, the
+    /// round-robin fallback keeps trying but the budget is finite: the
+    /// frame still quarantines.
     #[test]
     fn scrubbed_uniform_faults_still_quarantine_batches() {
         let net = BnbNetwork::new(3);
@@ -1913,6 +1477,56 @@ mod tests {
         });
         let err = routed.result.unwrap_err();
         assert!(matches!(err, EngineError::Quarantined { attempts: 3, .. }));
+    }
+
+    /// The batch branch under a plan: a `FrameBatch` mixing fault-tripping
+    /// and fault-immune frames is unbundled, and every frame drains under
+    /// its own seq and token. With every shard faulted, tripping frames
+    /// quarantine; immune frames route exactly like `net.route`.
+    #[test]
+    fn plan_unbundles_batches_into_per_frame_retries() {
+        let net = BnbNetwork::new(3);
+        let map = stuck_map();
+        let (bad_a, good_a) = fault_sensitive_perms(net, &map, 40);
+        let (bad_b, good_b) = fault_sensitive_perms(net, &map, 44);
+        let frames = [bad_a, good_a, bad_b, good_b];
+        let tokens = vec![0x11u64, 0x22, 0x33, 0x44];
+        let engine = Engine::new(net, EngineConfig::with_workers(2));
+        let plan = fixed_plan(
+            vec![map.clone(), map],
+            RetryPolicy {
+                max_attempts: 2,
+                backoff: Duration::ZERO,
+            },
+        );
+        let mut batch = FrameBatch::with_capacity(net.inputs(), frames.len());
+        for frame in &frames {
+            batch.push_frame(frame);
+        }
+        let (base, drained) = engine.run_scrubbed(&plan, |h| {
+            let base = h.submit(Submission::tagged(Payload::Batch(batch), tokens.clone()));
+            let drained: Vec<_> = (0..frames.len()).map(|_| h.drain().unwrap()).collect();
+            assert!(h.drain().is_none(), "one result per frame, no more");
+            (base, drained)
+        });
+        for (f, routed) in drained.iter().enumerate() {
+            assert_eq!(routed.seq, base + f as u64, "frame {f} seq");
+            assert_eq!(routed.token, tokens[f], "frame {f} token");
+            if f % 2 == 0 {
+                let err = routed.result.as_ref().unwrap_err();
+                assert_eq!(err.seq(), routed.seq);
+                assert!(
+                    matches!(err, EngineError::Quarantined { attempts: 2, .. }),
+                    "frame {f}: {err:?}"
+                );
+            } else {
+                assert_eq!(
+                    routed.result.as_ref().unwrap(),
+                    &net.route(&frames[f]).unwrap(),
+                    "frame {f} routes like the sequential reference"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1940,10 +1554,23 @@ mod tests {
             assert!(matches!(rejected, SubmitError::Full(_)));
             assert!(!rejected.is_closed());
             assert_eq!(
-                rejected.into_lines(),
-                records_for_permutation(&p),
-                "the rejected batch rides back unrouted"
+                rejected.into_submission(),
+                Submission::from(records_for_permutation(&p)),
+                "the rejected frame rides back unrouted"
             );
+            // A rejected batch rides back whole, tokens included.
+            let mut batch = FrameBatch::new(8);
+            batch.push_frame(&records_for_permutation(&p));
+            batch.push_frame(&records_for_permutation(&p));
+            let tagged = Submission::tagged(Payload::Batch(batch), vec![7, 9]);
+            let rejected = loop {
+                match h.try_submit(tagged.clone()) {
+                    Ok(_) => accepted += 2,
+                    Err(e) => break e,
+                }
+            };
+            assert!(matches!(rejected, SubmitError::Full(_)));
+            assert_eq!(rejected.into_submission(), tagged);
             let mut drained = 0u64;
             while h.drain().is_some() {
                 drained += 1;

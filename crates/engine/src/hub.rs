@@ -3,9 +3,10 @@
 //!
 //! Two kinds of work flow through the hub:
 //!
-//! - **Jobs** — whole submitted batches. The queue is bounded, so
-//!   [`Hub::submit`] blocks when full (backpressure). A worker that pops a
-//!   job becomes its *owner* and is responsible for publishing its result.
+//! - **Jobs** — whole submissions. The queue is bounded, so a blocking
+//!   [`Hub::enqueue`] waits when full (backpressure). A worker that pops
+//!   a job becomes its *owner* and is responsible for publishing its
+//!   result.
 //! - **Slice tasks** — disjoint subnetwork slices of an in-flight batch,
 //!   produced by the recursive split in [`crate::engine`]. The queue is
 //!   unbounded (at most `2^depth` tasks per in-flight job) and always
@@ -23,26 +24,101 @@ use std::time::{Duration, Instant};
 
 use bnb_core::batch::FrameBatch;
 use bnb_core::error::RouteError;
-use bnb_core::network::BnbNetwork;
 use bnb_topology::record::Record;
 
 use crate::error::EngineError;
 use crate::stats::LatencyHistogram;
 
-/// What a submitted job carries: one frame (the classic path, sharded
-/// across workers by the recursive split) or a whole [`FrameBatch`]
-/// (routed by its owning worker through the batched kernel, one frame
-/// result per reserved sequence number).
-pub(crate) enum JobPayload {
+/// What one submission carries: one frame (sharded across workers by
+/// the recursive split) or a whole [`FrameBatch`] (routed by its owning
+/// worker through the batched kernel, one frame result per reserved
+/// sequence number).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Payload {
+    /// One frame of records.
     Frame(Vec<Record>),
+    /// Several same-width frames, routed in one kernel invocation.
     Batch(FrameBatch),
 }
 
+impl Payload {
+    /// Frames carried (one for [`Payload::Frame`]).
+    pub fn frames(&self) -> usize {
+        match self {
+            Payload::Frame(_) => 1,
+            Payload::Batch(batch) => batch.frames(),
+        }
+    }
+
+    /// Records per frame.
+    pub fn width(&self) -> usize {
+        match self {
+            Payload::Frame(lines) => lines.len(),
+            Payload::Batch(batch) => batch.width(),
+        }
+    }
+}
+
+/// One submission to [`crate::EngineHandle::submit`] or
+/// [`crate::EngineHandle::try_submit`]: a payload plus optional
+/// per-frame completion tokens. A bare `Vec<Record>` or [`FrameBatch`]
+/// converts into an untagged submission; [`Submission::tagged`] adds
+/// tokens.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Submission {
+    pub(crate) payload: Payload,
+    /// Empty, or exactly one token per frame.
+    pub(crate) tokens: Vec<u64>,
+}
+
+impl Submission {
+    /// `payload` with caller completion-routing tokens: frame `f`'s
+    /// [`RoutedBatch`] carries `tokens[f]` back verbatim (`0` =
+    /// untagged). Serving front-ends key the token by connection so
+    /// completions fan out to the owning socket without a shared side
+    /// table.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tokens` is empty or holds one token per frame.
+    pub fn tagged(payload: Payload, tokens: Vec<u64>) -> Self {
+        assert!(
+            tokens.is_empty() || tokens.len() == payload.frames(),
+            "token count must be zero or match the frame count"
+        );
+        Submission { payload, tokens }
+    }
+
+    /// The frame or frames, returned unrouted (e.g. from a
+    /// [`SubmitError`]).
+    pub fn into_payload(self) -> Payload {
+        self.payload
+    }
+}
+
+impl From<Vec<Record>> for Submission {
+    fn from(lines: Vec<Record>) -> Self {
+        Submission {
+            payload: Payload::Frame(lines),
+            tokens: Vec::new(),
+        }
+    }
+}
+
+impl From<FrameBatch> for Submission {
+    fn from(batch: FrameBatch) -> Self {
+        Submission {
+            payload: Payload::Batch(batch),
+            tokens: Vec::new(),
+        }
+    }
+}
+
 /// A submitted batch awaiting an owner. `seq` is the job's first sequence
-/// number; a [`JobPayload::Batch`] of `B` frames owns `seq .. seq + B`.
+/// number; a [`Payload::Batch`] of `B` frames owns `seq .. seq + B`.
 pub(crate) struct Job {
     pub seq: u64,
-    pub payload: JobPayload,
+    pub payload: Payload,
     pub submitted_at: Instant,
 }
 
@@ -63,9 +139,8 @@ pub struct RoutedBatch {
     /// recorded in the engine histogram.
     pub route_ns: u64,
     /// Opaque caller token attached at submission (see
-    /// [`Hub::try_submit_tagged`] / [`Hub::try_submit_batch`]). Serving
-    /// front-ends key completion routing by connection with it; plain
-    /// submissions carry `0`.
+    /// [`Submission::tagged`]). Serving front-ends key completion routing
+    /// by connection with it; untagged submissions carry `0`.
     pub token: u64,
 }
 
@@ -78,24 +153,25 @@ struct JobMeta {
     remaining: u64,
 }
 
-/// Why [`crate::engine::EngineHandle::try_submit`] refused a batch. The
-/// rejected records ride back inside the variant so callers (admission
-/// layers issuing `RETRY`, queues re-offering later) keep the allocation.
+/// Why [`crate::EngineHandle::try_submit`] refused a submission. The
+/// rejected submission rides back inside the variant so callers
+/// (admission layers issuing `RETRY`, queues re-offering later) keep the
+/// allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SubmitError {
     /// The bounded queue is full right now; re-offer later.
-    Full(Vec<Record>),
-    /// The engine is past [`drain_and_close`]
-    /// (`crate::engine::EngineHandle::drain_and_close`) and accepts
-    /// nothing more.
-    Closed(Vec<Record>),
+    Full(Submission),
+    /// The engine is past
+    /// [`drain_and_close`](crate::EngineHandle::drain_and_close) and
+    /// accepts nothing more.
+    Closed(Submission),
 }
 
 impl SubmitError {
-    /// The rejected batch, returned to the caller unrouted.
-    pub fn into_lines(self) -> Vec<Record> {
+    /// The rejected submission, returned to the caller unrouted.
+    pub fn into_submission(self) -> Submission {
         match self {
-            SubmitError::Full(lines) | SubmitError::Closed(lines) => lines,
+            SubmitError::Full(work) | SubmitError::Closed(work) => work,
         }
     }
 
@@ -108,68 +184,15 @@ impl SubmitError {
 
 impl std::fmt::Display for SubmitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::Full(lines) => {
-                write!(
-                    f,
-                    "submission queue full ({} records rejected)",
-                    lines.len()
-                )
-            }
-            SubmitError::Closed(lines) => write!(
-                f,
-                "engine closed to new submissions ({} records rejected)",
-                lines.len()
-            ),
-        }
+        let (why, work) = match self {
+            SubmitError::Full(work) => ("submission queue full", work),
+            SubmitError::Closed(work) => ("engine closed to new submissions", work),
+        };
+        write!(f, "{why} ({} frames rejected)", work.payload.frames())
     }
 }
 
 impl std::error::Error for SubmitError {}
-
-/// Why [`Hub::try_submit_batch`] refused a whole [`FrameBatch`]. The
-/// rejected batch rides back inside the variant, mirroring
-/// [`SubmitError`], so dispatchers keep the SoA allocation for a later
-/// re-offer or per-frame RETRY fan-out.
-#[derive(Debug)]
-pub enum BatchSubmitError {
-    /// The bounded queue is full right now; re-offer later.
-    Full(FrameBatch),
-    /// The engine is past `drain_and_close` and accepts nothing more.
-    Closed(FrameBatch),
-}
-
-impl BatchSubmitError {
-    /// The rejected batch, returned to the caller unrouted.
-    pub fn into_batch(self) -> FrameBatch {
-        match self {
-            BatchSubmitError::Full(batch) | BatchSubmitError::Closed(batch) => batch,
-        }
-    }
-
-    /// Whether the rejection is permanent (engine closed) rather than
-    /// transient backpressure.
-    pub fn is_closed(&self) -> bool {
-        matches!(self, BatchSubmitError::Closed(_))
-    }
-}
-
-impl std::fmt::Display for BatchSubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchSubmitError::Full(batch) => {
-                write!(f, "submission queue full ({} frames rejected)", batch.frames())
-            }
-            BatchSubmitError::Closed(batch) => write!(
-                f,
-                "engine closed to new submissions ({} frames rejected)",
-                batch.frames()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BatchSubmitError {}
 
 /// Completion latch for one in-flight batch.
 ///
@@ -296,7 +319,6 @@ impl JobLatch {
 /// owner. The latch itself needs no such argument: the `Arc` keeps it
 /// alive for as long as any task (or the owner) holds a handle.
 pub(crate) struct SliceTask {
-    pub net: BnbNetwork,
     pub lines: *mut Record,
     pub len: usize,
     pub first_line: usize,
@@ -375,117 +397,33 @@ impl Hub {
         }
     }
 
-    /// Enqueues a batch, blocking while the bounded queue is full.
-    /// Returns the batch's sequence number.
+    /// Enqueues a submission, reserving one sequence number per frame and
+    /// returning the first (frame `f` completes as `seq + f`). With
+    /// `block` it waits while the bounded queue is full; without, a full
+    /// queue rejects with [`SubmitError::Full`]. Past
+    /// [`Hub::stop_accepting`] every submission is rejected with
+    /// [`SubmitError::Closed`]. Either way the submission rides back
+    /// intact.
     ///
     /// # Panics
     ///
-    /// Panics if the hub is past [`Hub::stop_accepting`]; callers that
-    /// may race a shutdown must use [`Hub::try_submit`].
-    pub fn submit(&self, lines: Vec<Record>) -> u64 {
+    /// Panics if the submission carries no frames.
+    pub fn enqueue(&self, work: Submission, block: bool) -> Result<u64, SubmitError> {
+        let frames = work.payload.frames();
+        assert!(frames > 0, "cannot submit an empty batch");
         let mut st = self.state.lock().unwrap();
-        assert!(st.accepting, "submit after drain_and_close");
-        while st.jobs.len() >= self.capacity {
-            st = self.space_cv.wait(st).unwrap();
-            assert!(st.accepting, "submit after drain_and_close");
-        }
-        self.enqueue_locked(st, JobPayload::Frame(lines), 1)
-    }
-
-    /// Enqueues a whole frame batch as one job, blocking while the bounded
-    /// queue is full. Reserves one sequence number per frame and returns
-    /// the first; frame `f` completes as `seq + f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or the hub is past
-    /// [`Hub::stop_accepting`].
-    pub fn submit_batch(&self, batch: FrameBatch) -> u64 {
-        assert!(!batch.is_empty(), "cannot submit an empty batch");
-        let frames = batch.frames() as u64;
-        let mut st = self.state.lock().unwrap();
-        assert!(st.accepting, "submit after drain_and_close");
-        while st.jobs.len() >= self.capacity {
-            st = self.space_cv.wait(st).unwrap();
-            assert!(st.accepting, "submit after drain_and_close");
-        }
-        self.enqueue_locked(st, JobPayload::Batch(batch), frames)
-    }
-
-    /// Non-blocking [`Hub::submit`]: rejects instead of waiting when the
-    /// queue is full or the hub no longer accepts submissions, handing
-    /// the batch back inside the error.
-    pub fn try_submit(&self, lines: Vec<Record>) -> Result<u64, SubmitError> {
-        let st = self.state.lock().unwrap();
-        if !st.accepting {
-            return Err(SubmitError::Closed(lines));
-        }
-        if st.jobs.len() >= self.capacity {
-            return Err(SubmitError::Full(lines));
-        }
-        Ok(self.enqueue_locked(st, JobPayload::Frame(lines), 1))
-    }
-
-    /// [`Hub::try_submit`] with a caller completion-routing token: the
-    /// frame's [`RoutedBatch`] carries `token` back verbatim, so a
-    /// serving dispatcher can fan the completion to the owning
-    /// connection without a side table. `0` means "untagged".
-    pub fn try_submit_tagged(&self, lines: Vec<Record>, token: u64) -> Result<u64, SubmitError> {
-        let mut st = self.state.lock().unwrap();
-        if !st.accepting {
-            return Err(SubmitError::Closed(lines));
-        }
-        if st.jobs.len() >= self.capacity {
-            return Err(SubmitError::Full(lines));
-        }
-        let seq = st.submitted;
-        if token != 0 {
-            st.tokens.insert(seq, token);
-        }
-        Ok(self.enqueue_locked(st, JobPayload::Frame(lines), 1))
-    }
-
-    /// Non-blocking [`Hub::submit_batch`] with per-frame completion
-    /// tokens: frame `f` (seq `first + f`) completes carrying
-    /// `tokens[f]`. `tokens` must be empty (all untagged) or exactly
-    /// `batch.frames()` long. Rejection hands the whole batch back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or `tokens` has the wrong length.
-    pub fn try_submit_batch(
-        &self,
-        batch: FrameBatch,
-        tokens: &[u64],
-    ) -> Result<u64, BatchSubmitError> {
-        assert!(!batch.is_empty(), "cannot submit an empty batch");
-        assert!(
-            tokens.is_empty() || tokens.len() == batch.frames(),
-            "token slice must be empty or match the batch frame count"
-        );
-        let frames = batch.frames() as u64;
-        let mut st = self.state.lock().unwrap();
-        if !st.accepting {
-            return Err(BatchSubmitError::Closed(batch));
-        }
-        if st.jobs.len() >= self.capacity {
-            return Err(BatchSubmitError::Full(batch));
-        }
-        let seq = st.submitted;
-        for (f, &token) in tokens.iter().enumerate() {
-            if token != 0 {
-                st.tokens.insert(seq + f as u64, token);
+        loop {
+            if !st.accepting {
+                return Err(SubmitError::Closed(work));
             }
+            if st.jobs.len() < self.capacity {
+                break;
+            }
+            if !block {
+                return Err(SubmitError::Full(work));
+            }
+            st = self.space_cv.wait(st).unwrap();
         }
-        Ok(self.enqueue_locked(st, JobPayload::Batch(batch), frames))
-    }
-
-    fn enqueue_locked(
-        &self,
-        mut st: std::sync::MutexGuard<'_, HubState>,
-        payload: JobPayload,
-        seqs: u64,
-    ) -> u64 {
         // A submit into a fully idle hub (everything previously submitted
         // already drained) starts a fresh wave: reset the slice-task high
         // water so `EngineStats` reports the current wave's depth, not a
@@ -494,21 +432,26 @@ impl Hub {
             st.task_queue_high_water = 0;
         }
         let seq = st.submitted;
-        st.submitted += seqs;
+        st.submitted += frames as u64;
+        for (f, &token) in work.tokens.iter().enumerate() {
+            if token != 0 {
+                st.tokens.insert(seq + f as u64, token);
+            }
+        }
         st.jobs.push_back(Job {
             seq,
-            payload,
+            payload: work.payload,
             submitted_at: Instant::now(),
         });
         st.queue_high_water = st.queue_high_water.max(st.jobs.len());
         drop(st);
         self.work_cv.notify_one();
-        seq
+        Ok(seq)
     }
 
     /// Rejects all future submissions while letting in-flight work drain.
-    /// Wakes any submitter blocked on queue space (it will hit the
-    /// `submit` contract panic rather than deadlock).
+    /// Wakes any submitter blocked on queue space (it is rejected rather
+    /// than deadlocked).
     pub fn stop_accepting(&self) {
         let mut st = self.state.lock().unwrap();
         st.accepting = false;
@@ -625,10 +568,7 @@ impl Hub {
                     .as_nanos()
                     .min(u128::from(u64::MAX)) as u64;
                 st.wait_histogram.record(queue_ns);
-                let frames = match &j.payload {
-                    JobPayload::Frame(_) => 1,
-                    JobPayload::Batch(b) => b.frames() as u64,
-                };
+                let frames = j.payload.frames() as u64;
                 st.meta.insert(
                     j.seq,
                     JobMeta {
@@ -716,7 +656,7 @@ mod tests {
     #[test]
     fn finish_splits_latency_at_worker_pickup() {
         let hub = Hub::new(4);
-        let seq = hub.submit(Vec::new());
+        let seq = hub.enqueue(Vec::new().into(), true).unwrap();
         std::thread::sleep(Duration::from_millis(2));
         let Some(Work::Job(job)) = hub.next_work() else {
             panic!("submitted job must be next");
@@ -751,7 +691,7 @@ mod tests {
         let mut batch = FrameBatch::new(2);
         batch.push_frame(&[Record::new(0, 0), Record::new(1, 1)]);
         batch.push_frame(&[Record::new(1, 0), Record::new(0, 1)]);
-        let seq = hub.submit_batch(batch);
+        let seq = hub.enqueue(batch.into(), true).unwrap();
         std::thread::sleep(Duration::from_millis(2));
         let Some(Work::Job(job)) = hub.next_work() else {
             panic!("submitted batch must be next");

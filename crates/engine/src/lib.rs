@@ -25,18 +25,22 @@
 //!   zero-cost noop): [`Engine::with_observer`] streams submit/drain,
 //!   shard hand-off, column and arbiter-sweep events to any sink, e.g. a
 //!   lock-free `bnb_obs::Counters`.
-//! - [`Engine::run_faulted`] routes through damaged hardware: a
-//!   [`FaultPlan`] assigns a `bnb_core::fault::FaultMap` to each fabric
-//!   shard, batches hitting a detected fault are retried on the next
-//!   shard with exponential backoff ([`RetryPolicy`]), and exhausted
-//!   retries drain as [`EngineError::Quarantined`] with the fault site in
-//!   the `source()` chain.
-//! - [`Engine::run_scrubbed`] adds *live* repair on top: a
-//!   [`LiveFaultPlan`]'s fault maps may change while the engine routes,
-//!   workers steer traffic onto healthy fabric shards
-//!   ([`ShardHealth`]), and a background scrubber thread probes suspect
-//!   shards between drains — quarantining confirmed faults and restoring
-//!   capacity when transients clear — without pausing submit/drain.
+//! - [`EngineHandle::submit`] (blocking) and [`EngineHandle::try_submit`]
+//!   (non-blocking, handing a rejected [`Submission`] back inside
+//!   [`SubmitError`]) are the only two ways in. Each takes one frame or a
+//!   whole `bnb_core::batch::FrameBatch`, optionally tagged with
+//!   per-frame completion tokens; a batch routes through the batched
+//!   word-parallel kernel on one worker.
+//! - [`Engine::run_scrubbed`] runs the same session over damaged, live
+//!   hardware: a [`LiveFaultPlan`] assigns a mutable
+//!   `bnb_core::fault::FaultMap` to each fabric shard. A frame whose
+//!   attempt trips the output balance check demotes its shard to
+//!   [`ShardHealth::Suspect`] and is retried on a healthy shard with
+//!   exponential backoff ([`RetryPolicy`]); exhausted retries drain as
+//!   [`EngineError::Quarantined`] with the fault site in the `source()`
+//!   chain. A background scrubber probes suspect shards between drains,
+//!   quarantining confirmed faults and restoring capacity when
+//!   transients clear, without pausing submit/drain.
 //!
 //! See [`bnb_core::stages`] for the slice-independence argument and
 //! `DESIGN.md` for how this mirrors the paper's arbiter locality.
@@ -48,8 +52,8 @@ pub mod live;
 pub mod stats;
 
 pub use engine::{
-    BatchSubmitError, Engine, EngineConfig, EngineHandle, FaultPlan, RetryPolicy, RoutedBatch,
-    ShardDepth, SubmitError,
+    Engine, EngineConfig, EngineHandle, Payload, RetryPolicy, RoutedBatch, ShardDepth, Submission,
+    SubmitError,
 };
 pub use error::EngineError;
 pub use live::{LiveFaultPlan, PlanStatus, ShardHealth, ShardStatus};

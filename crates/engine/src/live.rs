@@ -1,11 +1,10 @@
 //! Live fabric repair: mutable per-shard fault state and the background
 //! scrubber behind [`Engine::run_scrubbed`](crate::Engine::run_scrubbed).
 //!
-//! A [`LiveFaultPlan`] is the mutable sibling of
-//! [`FaultPlan`](crate::FaultPlan): each fabric shard owns a
-//! [`FaultMap`] behind a lock plus a [`ShardHealth`] word, and faults can
-//! be injected or cleared *while the engine is routing* — the chaos
-//! campaign's core primitive. Workers prefer healthy shards, demote a
+//! In a [`LiveFaultPlan`] each fabric shard owns a [`FaultMap`] behind a
+//! lock plus a [`ShardHealth`] word, and faults can be injected or
+//! cleared *while the engine is routing* — the chaos campaign's core
+//! primitive. Workers prefer healthy shards, demote a
 //! shard to [`ShardHealth::Suspect`] the moment traffic trips its output
 //! balance check (Theorem 3's built-in detector), and fall back to
 //! round-robin when no healthy shard remains so submit/drain never
@@ -98,11 +97,11 @@ impl ShardState {
 /// Mutable per-shard fault assignment for
 /// [`Engine::run_scrubbed`](crate::Engine::run_scrubbed).
 ///
-/// Unlike [`FaultPlan`](crate::FaultPlan), which is fixed for the run, a
-/// `LiveFaultPlan` is shared by reference between the routing workers,
+/// A `LiveFaultPlan` is shared by reference between the routing workers,
 /// the scrubber thread, and any chaos driver injecting or clearing
-/// faults concurrently. All mutation is internally synchronized; the
-/// plan itself is `Sync`.
+/// faults concurrently; a fixed fault assignment is just a plan whose
+/// maps are set once before the run ([`LiveFaultPlan::set_faults`]).
+/// All mutation is internally synchronized; the plan itself is `Sync`.
 #[derive(Debug)]
 pub struct LiveFaultPlan {
     shards: Vec<ShardState>,
@@ -252,7 +251,7 @@ impl LiveFaultPlan {
         }
     }
 
-    /// The shard attempt `attempt` of `worker`'s batch routes on: the
+    /// The shard attempt `attempt` of `worker`'s frame routes on: the
     /// first healthy shard in round-robin order from `worker + attempt`,
     /// or plain round-robin when nothing is healthy (the engine keeps
     /// trying rather than stalling — a later attempt or a repair may

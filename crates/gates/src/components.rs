@@ -690,8 +690,8 @@ impl BnbNetlist {
     /// split is audited (Theorem 3: a healthy splitter on a checked input
     /// always splits evenly, so an uneven split pins the corruption).
     /// Columns are scanned in route order and boxes ascending, first
-    /// violation wins — the identical scan order as
-    /// `bnb_core::stages::route_span_scalar_inner`, so the returned error
+    /// violation wins — the identical scan order as the scalar kernel of
+    /// `bnb_core::stages::RouteSpan` (`Kernel::Scalar`), so the returned error
     /// matches the behavioural `RouteError` field for field.
     ///
     /// # Errors

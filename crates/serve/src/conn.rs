@@ -642,7 +642,8 @@ impl Conn {
         }
 
         self.window_used += 1;
-        ctx.window_depth.fetch_max(self.window_used, Ordering::AcqRel);
+        ctx.window_depth
+            .fetch_max(self.window_used, Ordering::AcqRel);
         ctx.counters.window_observed(WindowEvent {
             conn: self.token,
             depth: self.window_used,

@@ -40,8 +40,8 @@ mod sys;
 
 pub use auth::TenantKeys;
 pub use loadgen::{
-    run_loadgen, run_sweep, LatencyPercentiles, LoadMode, LoadgenConfig, LoadgenReport,
-    SweepPoint, SweepReport, TenantLoad,
+    run_loadgen, run_sweep, LatencyPercentiles, LoadMode, LoadgenConfig, LoadgenReport, SweepPoint,
+    SweepReport, TenantLoad,
 };
 pub use protocol::{ErrorCode, FrameAssembler, Message, RecvError, RetryReason, WireError};
 pub use server::{

@@ -71,7 +71,8 @@ use std::time::{Duration, Instant};
 use bnb_core::batch::FrameBatch;
 use bnb_core::network::BnbNetwork;
 use bnb_engine::{
-    Engine, EngineConfig, EngineHandle, EngineStats, LiveFaultPlan, PlanStatus, ShardDepth,
+    Engine, EngineConfig, EngineHandle, EngineStats, LiveFaultPlan, Payload, PlanStatus,
+    ShardDepth, Submission,
 };
 use bnb_obs::{
     render_prometheus, render_prometheus_telemetry, AcceptEvent, Counters, FlightRecorder,
@@ -104,9 +105,6 @@ pub struct ServeConfig {
     pub tenant_quota: usize,
     /// Most simultaneously open client connections.
     pub max_connections: usize,
-    /// Legacy knob kept for config compatibility; the reactor never
-    /// blocks in `read`, so this no longer bounds anything.
-    pub read_timeout: Duration,
     /// Slow-request capture threshold in milliseconds; requests whose
     /// wire-to-wire latency crosses it are counted and — when a
     /// [`FlightRecorder`] is attached via [`Server::with_recorder`] —
@@ -128,7 +126,6 @@ impl Default for ServeConfig {
             queue_capacity: 8,
             tenant_quota: 4,
             max_connections: 64,
-            read_timeout: Duration::from_millis(100),
             slow_ms: 0,
             reactor_threads: 0,
             window: 32,
@@ -198,6 +195,13 @@ pub struct ServeReport {
     /// Frames that failed validation, routing, or tenant authentication
     /// (answered with ERROR).
     pub frames_errored: u64,
+    /// Accepted sockets closed at once because [`ServeConfig::max_connections`]
+    /// were already open.
+    pub connections_over_cap: u64,
+    /// `accept` failures the acceptor backed off from and survived (out
+    /// of file descriptors or kernel memory, or a connection aborted
+    /// before it was accepted).
+    pub transient_accept_errors: u64,
     /// Responses dropped because the client connection was gone by
     /// delivery time.
     pub responses_dropped: u64,
@@ -242,6 +246,8 @@ pub(crate) struct SessionStats {
     pub responses_dropped: AtomicU64,
     pub protocol_errors: AtomicU64,
     pub auth_failures: AtomicU64,
+    pub connections_over_cap: AtomicU64,
+    pub transient_accept_errors: AtomicU64,
 }
 
 impl SessionStats {
@@ -470,7 +476,9 @@ impl<'a> Server<'a> {
         self.counters.reset();
 
         let reactors = if cfg.reactor_threads == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         } else {
             cfg.reactor_threads
         };
@@ -533,7 +541,8 @@ impl<'a> Server<'a> {
                     match listener.accept() {
                         Ok((stream, _addr)) => {
                             if active_conns.load(Ordering::Acquire) >= cfg.max_connections {
-                                drop(stream); // over the connection cap
+                                SessionStats::bump(&stats.connections_over_cap);
+                                drop(stream);
                                 continue;
                             }
                             if stream.set_nonblocking(true).is_err() {
@@ -550,6 +559,10 @@ impl<'a> Server<'a> {
                             thread::sleep(Duration::from_millis(5));
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) if accept_error_is_transient(&e) => {
+                            SessionStats::bump(&stats.transient_accept_errors);
+                            thread::sleep(Duration::from_millis(5));
+                        }
                         Err(_) => {
                             graceful.store(false, Ordering::SeqCst);
                             // The reactors and dispatcher only exit
@@ -582,6 +595,8 @@ impl<'a> Server<'a> {
             frames_served: stats.frames_served.load(Ordering::Relaxed),
             retries_issued: stats.retries_issued.load(Ordering::Relaxed),
             frames_errored: stats.frames_errored.load(Ordering::Relaxed),
+            connections_over_cap: stats.connections_over_cap.load(Ordering::Relaxed),
+            transient_accept_errors: stats.transient_accept_errors.load(Ordering::Relaxed),
             responses_dropped: stats.responses_dropped.load(Ordering::Relaxed),
             protocol_errors: stats.protocol_errors.load(Ordering::Relaxed),
             auth_failures: stats.auth_failures.load(Ordering::Relaxed),
@@ -597,6 +612,25 @@ impl<'a> Server<'a> {
         );
         Ok(report)
     }
+}
+
+/// Whether an `accept` failure leaves the listener usable, so the
+/// acceptor backs off and tries again instead of ending the session: the
+/// process or system is out of file descriptors (`EMFILE`, `ENFILE`),
+/// the kernel is short of buffers or memory (`ENOBUFS`, `ENOMEM`), or a
+/// peer reset its connection before it was accepted (`ECONNABORTED`).
+fn accept_error_is_transient(e: &io::Error) -> bool {
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    #[cfg(any(target_os = "macos", target_os = "ios", target_os = "freebsd"))]
+    const ENOBUFS: i32 = 55;
+    #[cfg(not(any(target_os = "macos", target_os = "ios", target_os = "freebsd")))]
+    const ENOBUFS: i32 = 105;
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted | io::ErrorKind::OutOfMemory
+    ) || matches!(e.raw_os_error(), Some(ENOMEM | ENFILE | EMFILE | ENOBUFS))
 }
 
 /// A serving-session failure (distinct from per-connection errors, which
@@ -755,10 +789,11 @@ fn dispatch<O: Observer>(
     shared.wake_all();
 }
 
-/// Submits the gathered jobs: every full-width frame goes into one
-/// [`FrameBatch`] job (the engine's word-parallel batched kernel; each
-/// frame still drains as its own completion), wrong-width frames submit
-/// singly so the engine's validation rejects them per-frame.
+/// Submits the gathered jobs. With two or more full-width frames, they
+/// all go into one [`FrameBatch`] job (the engine's word-parallel batched
+/// kernel; each frame still drains as its own completion). Every other
+/// frame submits alone: a lone frame is sharded across the workers, and
+/// a wrong-width one is rejected per-frame by the engine's validation.
 fn flush_ready<O: Observer>(
     handle: &EngineHandle<'_, O>,
     ctx: &SessionCtx<'_>,
@@ -767,77 +802,77 @@ fn flush_ready<O: Observer>(
     ready: &mut Vec<RouteJob>,
     to_wake: &mut [bool],
 ) {
-    if ready.is_empty() {
-        return;
-    }
     let width = ctx.cfg.inputs;
     let batchable = ready.iter().filter(|j| j.lines.len() == width).count();
-    if batchable >= 2 {
-        let mut batch = FrameBatch::with_capacity(width, batchable);
-        let mut tokens = Vec::with_capacity(batchable);
-        let mut members = Vec::with_capacity(batchable);
-        let mut singles = Vec::new();
-        for job in ready.drain(..) {
-            if job.lines.len() == width {
-                batch.push_frame(&job.lines);
-                tokens.push(job.route.encode());
-                members.push(job);
-            } else {
-                singles.push(job);
-            }
+    let (batched, singles): (Vec<_>, Vec<_>) = ready
+        .drain(..)
+        .partition(|j| batchable >= 2 && j.lines.len() == width);
+    if !batched.is_empty() {
+        let mut batch = FrameBatch::with_capacity(width, batched.len());
+        for job in &batched {
+            batch.push_frame(&job.lines);
         }
-        match handle.try_submit_batch(batch, &tokens) {
-            Ok(seq) => {
-                // The admission cap keeps in-flight frames (≥ queued
-                // jobs) within `queue_capacity`, so the queue had room.
-                let submitted_at = Instant::now();
-                for (f, job) in members.into_iter().enumerate() {
-                    pending.insert(seq + f as u64, Pending::from_job(job, width, submitted_at));
-                }
-            }
-            Err(err) => {
-                // Defensive: admission should make this unreachable.
-                let reason = if err.is_closed() {
-                    RetryReason::Draining
-                } else {
-                    RetryReason::QueueFull
-                };
-                for job in members {
-                    refuse_job(ctx, shared, to_wake, job, reason);
-                }
-            }
-        }
-        for job in singles {
-            submit_single(handle, ctx, shared, pending, to_wake, job);
-        }
-    } else {
-        for job in ready.drain(..) {
-            submit_single(handle, ctx, shared, pending, to_wake, job);
-        }
+        submit_jobs(
+            handle,
+            ctx,
+            shared,
+            pending,
+            to_wake,
+            Payload::Batch(batch),
+            batched,
+        );
+    }
+    for mut job in singles {
+        let lines = std::mem::take(&mut job.lines);
+        submit_jobs(
+            handle,
+            ctx,
+            shared,
+            pending,
+            to_wake,
+            Payload::Frame(lines),
+            vec![job],
+        );
     }
 }
 
-fn submit_single<O: Observer>(
+/// Offers one engine job whose `payload` carries the frames of `jobs`,
+/// in order, each tagged with its reply route, and records one
+/// [`Pending`] per frame. A job the engine refuses is answered with a
+/// RETRY per frame.
+fn submit_jobs<O: Observer>(
     handle: &EngineHandle<'_, O>,
     ctx: &SessionCtx<'_>,
     shared: &ReactorShared,
     pending: &mut HashMap<u64, Pending>,
     to_wake: &mut [bool],
-    mut job: RouteJob,
+    payload: Payload,
+    jobs: Vec<RouteJob>,
 ) {
-    let token = job.route.encode();
-    let records = job.lines.len();
-    match handle.try_submit_tagged(std::mem::take(&mut job.lines), token) {
+    let records = payload.width();
+    let tokens = jobs.iter().map(|job| job.route.encode()).collect();
+    match handle.try_submit(Submission::tagged(payload, tokens)) {
         Ok(seq) => {
-            pending.insert(seq, Pending::from_job(job, records, Instant::now()));
+            // The admission cap keeps in-flight frames (≥ queued jobs)
+            // within `queue_capacity`, so the queue had room.
+            let submitted_at = Instant::now();
+            for (f, job) in jobs.into_iter().enumerate() {
+                pending.insert(
+                    seq + f as u64,
+                    Pending::from_job(job, records, submitted_at),
+                );
+            }
         }
         Err(err) => {
+            // Defensive: admission should make this unreachable.
             let reason = if err.is_closed() {
                 RetryReason::Draining
             } else {
                 RetryReason::QueueFull
             };
-            refuse_job(ctx, shared, to_wake, job, reason);
+            for job in jobs {
+                refuse_job(ctx, shared, to_wake, job, reason);
+            }
         }
     }
 }
@@ -918,4 +953,36 @@ fn http_path(head: &[u8]) -> &str {
         .ok()
         .and_then(|l| l.split_whitespace().nth(1))
         .unwrap_or("")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resource_exhaustion_and_aborted_accepts_are_transient() {
+        // EMFILE, ENFILE and ENOMEM share their numbers across Unixes.
+        for errno in [24, 23, 12] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(accept_error_is_transient(&e), "errno {errno}: {e}");
+        }
+        #[cfg(target_os = "linux")]
+        for errno in [105, 103] {
+            // ENOBUFS, ECONNABORTED
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(accept_error_is_transient(&e), "errno {errno}: {e}");
+        }
+        let aborted = io::Error::from(io::ErrorKind::ConnectionAborted);
+        assert!(accept_error_is_transient(&aborted));
+    }
+
+    #[test]
+    fn listener_failures_are_fatal() {
+        // EBADF and EINVAL: the listener itself is broken.
+        for errno in [9, 22] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert!(!accept_error_is_transient(&e), "errno {errno}: {e}");
+        }
+        assert!(!accept_error_is_transient(&io::Error::other("boom")));
+    }
 }

@@ -414,7 +414,7 @@ impl VoqSwitch {
                         group.push_frame(&frame);
                         if group.frames() >= FRAMES_PER_BATCH {
                             pending += group.frames();
-                            h.submit_batch(std::mem::replace(&mut group, FrameBatch::new(n)));
+                            h.submit(std::mem::replace(&mut group, FrameBatch::new(n)));
                         }
                     }
                     Err(e) => {
@@ -422,7 +422,7 @@ impl VoqSwitch {
                         // already grouped; they must still route.
                         if !group.is_empty() {
                             pending += group.frames();
-                            h.submit_batch(std::mem::replace(&mut group, FrameBatch::new(n)));
+                            h.submit(std::mem::replace(&mut group, FrameBatch::new(n)));
                         }
                         for _ in 0..pending {
                             let batch = h.drain().expect("every submitted round completes");
@@ -449,7 +449,7 @@ impl VoqSwitch {
             }
             if !group.is_empty() {
                 pending += group.frames();
-                h.submit_batch(group);
+                h.submit(group);
             }
             for _ in 0..pending {
                 let batch = h.drain().expect("every submitted round completes");

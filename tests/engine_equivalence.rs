@@ -39,7 +39,7 @@ fn depths() -> [ShardDepth; 4] {
 #[test]
 fn faulted_shard_quarantines_while_healthy_batches_match() {
     use bnb::core::{FaultKind, FaultMap, FaultSite, FaultyFabric};
-    use bnb::engine::{EngineError, FaultPlan, RetryPolicy};
+    use bnb::engine::{EngineError, LiveFaultPlan, RetryPolicy};
     use rand::SeedableRng;
     let m = 4usize;
     let n = 1usize << m;
@@ -71,13 +71,16 @@ fn faulted_shard_quarantines_while_healthy_batches_match() {
     ];
     let expected: Vec<Vec<Record>> = batches.iter().map(|b| net.route(b).unwrap()).collect();
 
-    let plan = FaultPlan::uniform(map, 2).with_retry(RetryPolicy {
+    // Both shards carry the fault for the whole run.
+    let plan = LiveFaultPlan::healthy(2).with_retry(RetryPolicy {
         max_attempts: 2,
         backoff: std::time::Duration::ZERO,
     });
+    plan.set_faults(0, map.clone());
+    plan.set_faults(1, map);
     for workers in [1usize, 3] {
         let engine = engine_for(net, workers, ShardDepth::Auto);
-        let routed = engine.run_faulted(&plan, |h| {
+        let routed = engine.run_scrubbed(&plan, |h| {
             for b in &batches {
                 h.submit(b.clone());
             }

@@ -7,8 +7,9 @@ use std::collections::BTreeMap;
 use std::thread;
 use std::time::Duration;
 
+use bnb::core::batch::FrameBatch;
 use bnb::core::network::BnbNetwork;
-use bnb::engine::{Engine, EngineConfig, ShardDepth};
+use bnb::engine::{Engine, EngineConfig, Payload, ShardDepth, Submission};
 use bnb::topology::perm::Permutation;
 use bnb::topology::record::records_for_permutation;
 use rand::rngs::StdRng;
@@ -130,9 +131,21 @@ fn submissions_after_close_return_the_batch_intact() {
         let lines = records_for_permutation(&perm);
         let err = handle.try_submit(lines.clone()).unwrap_err();
         assert!(err.is_closed());
-        // The refused batch comes back untouched — callers can re-offer
+        // The refused frame comes back untouched — callers can re-offer
         // it elsewhere instead of losing the frame.
-        assert_eq!(err.into_lines(), lines);
+        assert_eq!(
+            err.into_submission().into_payload(),
+            Payload::Frame(lines.clone())
+        );
+
+        // So does a refused tagged batch, tokens included.
+        let mut batch = FrameBatch::new(1 << m);
+        batch.push_frame(&lines);
+        batch.push_frame(&lines);
+        let tagged = Submission::tagged(Payload::Batch(batch), vec![3, 4]);
+        let err = handle.try_submit(tagged.clone()).unwrap_err();
+        assert!(err.is_closed());
+        assert_eq!(err.into_submission(), tagged);
         assert!(handle.drain().is_none(), "closed queue yields no batches");
     });
 }

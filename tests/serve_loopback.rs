@@ -129,7 +129,6 @@ fn concurrent_tenants_route_correctly_with_forced_backpressure() {
         // Quota below the loadgen window forces TenantQuota RETRYs.
         tenant_quota: 2,
         max_connections: 16,
-        read_timeout: Duration::from_millis(20),
         slow_ms: 0,
         reactor_threads: 1,
         window: 32,
@@ -188,7 +187,6 @@ fn metrics_endpoint_speaks_prometheus_and_balances_the_ledger() {
         queue_capacity: 4,
         tenant_quota: 2,
         max_connections: 8,
-        read_timeout: Duration::from_millis(20),
         slow_ms: 0,
         reactor_threads: 1,
         window: 32,
@@ -254,7 +252,6 @@ fn wire_shutdown_drains_the_session_gracefully() {
         queue_capacity: 4,
         tenant_quota: 4,
         max_connections: 8,
-        read_timeout: Duration::from_millis(20),
         slow_ms: 0,
         reactor_threads: 1,
         window: 32,
@@ -319,7 +316,6 @@ fn status_endpoint_reconciles_stage_sums_with_wire_latency() {
         queue_capacity: 4,
         tenant_quota: 4,
         max_connections: 8,
-        read_timeout: Duration::from_millis(20),
         // Threshold so high nothing trips it; the snapshot must still
         // report it faithfully.
         slow_ms: 60_000,
@@ -414,7 +410,6 @@ fn operator_surfaces_stay_live_under_traffic_and_during_drain() {
         queue_capacity: 4,
         tenant_quota: 4,
         max_connections: 16,
-        read_timeout: Duration::from_millis(20),
         slow_ms: 0,
         reactor_threads: 1,
         window: 32,
@@ -521,7 +516,6 @@ fn loadgen_resubmits_retried_frames_and_both_ledgers_balance() {
         // now answers by resubmitting instead of abandoning.
         tenant_quota: 2,
         max_connections: 16,
-        read_timeout: Duration::from_millis(20),
         slow_ms: 0,
         reactor_threads: 1,
         window: 32,

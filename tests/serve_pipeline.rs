@@ -27,7 +27,6 @@ fn base_config() -> ServeConfig {
         queue_capacity: 8,
         tenant_quota: 8,
         max_connections: 32,
-        read_timeout: Duration::from_millis(20),
         slow_ms: 0,
         reactor_threads: 1,
         window: 8,
