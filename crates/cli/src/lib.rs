@@ -285,8 +285,8 @@ pub fn usage() -> String {
                   [--queue 8] [--threads 0 (= cores) reactor threads]\n\
                   [--window 32 per-conn pipeline] [--tenant-keys FILE]\n\
                   [--tenant-quota 4] [--max-conns 64] [--pretty]);\n\
-                  HTTP GET /metrics on the same port serves Prometheus\n\
-                  metrics with per-stage/per-tenant telemetry,\n\
+                  HTTP GET /metrics on the same port serves the session\n\
+                  ledger and per-stage/per-tenant telemetry as Prometheus,\n\
                   GET /status a JSON\n\
                   status snapshot; --slow-ms N samples requests slower\n\
                   than N ms into the --record FILE flight recording;\n\
@@ -920,8 +920,14 @@ fn cmd_faults_chaos(flags: &Flags, m: usize, n: usize) -> Result<String, CliErro
         total(|r| r.faults_cleared),
     ));
     let recovered = runs.iter().filter(|r| r.report.recovered).count();
+    let repairs = |f: fn(&ChaosReport) -> u64| -> u64 { runs.iter().map(|r| f(&r.report)).sum() };
     out.push_str(&format!(
-        "  repair:  {recovered}/{schedules} schedule(s) recovered full capacity\n"
+        "  repair:  {recovered}/{schedules} schedule(s) recovered full capacity \
+         ({} probes, {} quarantines, {} restores, {} traffic-detected faults)\n",
+        repairs(|r| r.scrub_probes),
+        repairs(|r| r.shards_quarantined),
+        repairs(|r| r.shards_restored),
+        repairs(|r| r.hardware_faults),
     ));
     if let Some(path) = flags.value("--out") {
         let json = serde_json::to_string(&runs)

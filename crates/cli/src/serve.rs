@@ -13,9 +13,9 @@
 //! writes the JSON to a file for CI artifacts.
 //!
 //! `top` polls a running server's `/status` endpoint and renders a
-//! refreshing terminal dashboard — per-stage latency, tenant windows,
-//! engine queue depths, and fabric health — like `top(1)` for the
-//! routing service.
+//! refreshing terminal dashboard — the serving ledger, per-stage
+//! latency, tenant windows, engine queue depths, and fabric health and
+//! repair counts — like `top(1)` for the routing service.
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
@@ -124,10 +124,9 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
 
     install_signal_handlers();
     let control = ServerControl::new();
-    let counters = bnb_obs::Counters::new();
     let report = match &schedule {
         None => {
-            let mut server = Server::new(config, &counters).with_recorder(&recorder);
+            let mut server = Server::new(config).with_recorder(&recorder);
             if let Some(keys) = tenant_keys.clone() {
                 server = server.with_tenant_keys(keys);
             }
@@ -143,8 +142,7 @@ pub(crate) fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
             // a session that outlives its schedule converges back to
             // full capacity.
             let plan = LiveFaultPlan::healthy(shards).with_probe_seed(seed);
-            let mut server =
-                Server::with_fault_plan(config, &counters, &plan).with_recorder(&recorder);
+            let mut server = Server::with_fault_plan(config, &plan).with_recorder(&recorder);
             if let Some(keys) = tenant_keys.clone() {
                 server = server.with_tenant_keys(keys);
             }
@@ -368,6 +366,24 @@ pub(crate) fn render_top(addr: &str, s: &StatusSnapshot) -> String {
         s.engine.records,
         s.engine.errors,
     ));
+    let l = &s.ledger;
+    out.push_str(&format!(
+        "frames  submitted {}  served {}  retried {}  errored {}  auth_failed {}  dropped {}\n",
+        l.frames_submitted,
+        l.frames_served,
+        l.retries_issued,
+        l.frames_errored,
+        l.auth_failures,
+        l.responses_dropped,
+    ));
+    out.push_str(&format!(
+        "sockets accepted {}  over_cap {}  accept_errors {}  protocol_errors {}  wakeups {}\n",
+        l.connections_accepted,
+        l.connections_over_cap,
+        l.transient_accept_errors,
+        l.protocol_errors,
+        l.reactor_wakeups,
+    ));
     out.push_str(&format!(
         "slow {} (threshold {})\n",
         s.telemetry.slow_captured,
@@ -414,9 +430,13 @@ pub(crate) fn render_top(addr: &str, s: &StatusSnapshot) -> String {
     }
     if let Some(fabric) = &s.fabric {
         out.push_str(&format!(
-            "\nFABRIC  {} healthy{}\n",
+            "\nFABRIC  {} healthy{}  probes {}  quarantines {}  restores {}  faults {}\n",
             fabric.healthy,
-            if fabric.degraded { "  DEGRADED" } else { "" }
+            if fabric.degraded { "  DEGRADED" } else { "" },
+            fabric.scrub_probes,
+            fabric.shards_quarantined,
+            fabric.shards_restored,
+            fabric.hardware_faults,
         ));
         for sh in &fabric.shards {
             out.push_str(&format!(
@@ -459,6 +479,24 @@ mod tests {
             window: bnb_serve::WindowStatus {
                 limit: 32,
                 max_depth: 5,
+            },
+            ledger: bnb_serve::ServeReport {
+                connections_accepted: 3,
+                frames_submitted: 12,
+                frames_served: 10,
+                retries_issued: 2,
+                frames_errored: 0,
+                connections_over_cap: 1,
+                transient_accept_errors: 4,
+                responses_dropped: 0,
+                protocol_errors: 0,
+                auth_failures: 0,
+                reactor_wakeups: 9,
+                graceful: true,
+                elapsed_ms: 12_500,
+                engine_batches: 10,
+                engine_records: 160,
+                slow_requests: 1,
             },
             telemetry: TelemetrySnapshot {
                 uptime_ms: 12_500,
@@ -512,6 +550,10 @@ mod tests {
         // Tenant row: id, window count, retries.
         assert!(out.contains('7'), "{out}");
         assert!(out.contains("slow 1 (threshold 5.0ms)"), "{out}");
+        // The whole ledger is on screen.
+        assert!(out.contains("submitted 12  served 10  retried 2"), "{out}");
+        assert!(out.contains("over_cap 1  accept_errors 4"), "{out}");
+        assert!(out.contains("wakeups 9"), "{out}");
         // No fault plan: the fabric section is absent entirely.
         assert!(!out.contains("FABRIC"), "{out}");
     }
@@ -523,6 +565,10 @@ mod tests {
         status.fabric = Some(bnb_engine::PlanStatus {
             healthy: 1,
             degraded: true,
+            scrub_probes: 7,
+            shards_quarantined: 1,
+            shards_restored: 0,
+            hardware_faults: 3,
             shards: vec![bnb_engine::ShardStatus {
                 shard: 0,
                 health: "quarantined".to_string(),
@@ -534,5 +580,9 @@ mod tests {
         assert!(out.contains("DRAINING"), "{out}");
         assert!(out.contains("DEGRADED"), "{out}");
         assert!(out.contains("quarantined"), "{out}");
+        assert!(
+            out.contains("probes 7  quarantines 1  restores 0  faults 3"),
+            "{out}"
+        );
     }
 }

@@ -234,10 +234,9 @@ impl<O: Observer> Engine<O> {
     ///   its frames retries under its own sequence number.
     /// - The scrubber probes every non-healthy shard with seeded test
     ///   permutations on a private fabric. A dirty probe confirms the
-    ///   fault ([`bnb_obs::RepairEvent`] with `restored: false`); a
-    ///   clean-probe streak returns the shard to service
-    ///   ([`bnb_obs::RepairEvent`] with `restored: true`). Every probe
-    ///   emits a [`bnb_obs::ScrubEvent`].
+    ///   fault and quarantines the shard; a clean-probe streak returns
+    ///   it to service. The plan counts probes, quarantines, restores and
+    ///   traffic-detected faults ([`LiveFaultPlan::status`]).
     ///
     /// Frames that exhaust the retry budget drain as
     /// [`EngineError::Quarantined`] with the fault site in the
@@ -284,7 +283,7 @@ impl<O: Observer> Engine<O> {
                 s.spawn(move || Worker::new(hub, net, depth, plan, index, slot, observer).run());
             }
             if let Some(plan) = plan {
-                s.spawn(move || scrubber_loop(stop, net, plan, observer));
+                s.spawn(move || scrubber_loop(stop, net, plan));
             }
             let handle = EngineHandle {
                 hub,
@@ -1448,10 +1447,15 @@ mod tests {
         let snap = counters.snapshot();
         assert!(snap.hardware_faults >= 1, "traffic detected the fault");
         assert!(snap.fault_retries >= 1, "the remap retried");
-        assert!(snap.scrub_probes >= 1);
-        assert!(snap.shards_quarantined >= 1);
-        assert!(snap.shards_restored >= 1);
         assert_eq!(snap.batch_errors, 0, "every batch ultimately delivered");
+        let repair = plan.status();
+        assert!(
+            repair.hardware_faults >= 1,
+            "the plan counted the detection"
+        );
+        assert!(repair.scrub_probes >= 1);
+        assert!(repair.shards_quarantined >= 1);
+        assert!(repair.shards_restored >= 1);
     }
 
     /// With every shard faulted identically and one worker, the

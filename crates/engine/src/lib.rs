@@ -40,7 +40,9 @@
 //!   [`EngineError::Quarantined`] with the fault site in the `source()`
 //!   chain. A background scrubber probes suspect shards between drains,
 //!   quarantining confirmed faults and restoring capacity when
-//!   transients clear, without pausing submit/drain.
+//!   transients clear, without pausing submit/drain. The plan counts the
+//!   loop's probes, quarantines, restores and traffic-detected faults
+//!   itself ([`PlanStatus`]).
 //!
 //! See [`bnb_core::stages`] for the slice-independence argument and
 //! `DESIGN.md` for how this mirrors the paper's arbiter locality.

@@ -12,12 +12,14 @@
 //!
 //! The scrubber thread probes every non-healthy shard between drains with
 //! seeded test permutations: a dirty probe confirms the fault and
-//! quarantines the shard ([`RepairEvent`] with `restored: false`); enough
-//! consecutive clean probes (a cleared transient) restore it to service
-//! ([`RepairEvent`] with `restored: true`). Every probe emits a
-//! [`ScrubEvent`], so counters and flight recorders see the repair loop
-//! breathing. All probe permutations derive from the plan's seed — a
-//! campaign re-run with the same seed probes identically.
+//! quarantines the shard; enough consecutive clean probes (a cleared
+//! transient) restore it to service. All probe permutations derive from
+//! the plan's seed — a campaign re-run with the same seed probes
+//! identically.
+//!
+//! The plan owns every transition of the repair loop, so it also owns
+//! their counts: probes, quarantines, restores and the faults traffic
+//! detected appear in [`PlanStatus`], with no observer involved.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::RwLock;
@@ -26,7 +28,6 @@ use std::time::Duration;
 use bnb_core::error::RouteError;
 use bnb_core::fault::{FaultKind, FaultMap, FaultSite, FaultyFabric, HardwareFault};
 use bnb_core::network::BnbNetwork;
-use bnb_obs::{Observer, RepairEvent, ScrubEvent};
 use bnb_topology::perm::Permutation;
 use bnb_topology::record::records_for_permutation;
 use rand::rngs::StdRng;
@@ -105,6 +106,12 @@ impl ShardState {
 #[derive(Debug)]
 pub struct LiveFaultPlan {
     shards: Vec<ShardState>,
+    /// Shards the scrubber moved into `Quarantined`.
+    quarantines: AtomicU64,
+    /// Shards the scrubber returned to service.
+    restores: AtomicU64,
+    /// Hardware faults traffic tripped over (each demotes its shard).
+    traffic_faults: AtomicU64,
     retry: RetryPolicy,
     probe_seed: u64,
     probe_perms: usize,
@@ -121,6 +128,9 @@ impl LiveFaultPlan {
             shards: (0..shards.max(1))
                 .map(|_| ShardState::new(FaultMap::new()))
                 .collect(),
+            quarantines: AtomicU64::new(0),
+            restores: AtomicU64::new(0),
+            traffic_faults: AtomicU64::new(0),
             retry: RetryPolicy::default(),
             probe_seed: 0,
             probe_perms: 4,
@@ -233,8 +243,8 @@ impl LiveFaultPlan {
     }
 
     /// A serializable point-in-time snapshot of every shard's health and
-    /// fault map, for the serving layer's `/status` endpoint and any
-    /// other operator surface.
+    /// fault map, plus the repair loop's counts, for the serving layer's
+    /// `/status` and `/metrics` endpoints and any other operator surface.
     pub fn status(&self) -> PlanStatus {
         let shards: Vec<ShardStatus> = (0..self.shards.len())
             .map(|i| ShardStatus {
@@ -247,6 +257,14 @@ impl LiveFaultPlan {
         PlanStatus {
             healthy: self.healthy_shards(),
             degraded: self.is_degraded(),
+            scrub_probes: self
+                .shards
+                .iter()
+                .map(|s| s.probe_round.load(Ordering::Relaxed))
+                .sum(),
+            shards_quarantined: self.quarantines.load(Ordering::Relaxed),
+            shards_restored: self.restores.load(Ordering::Relaxed),
+            hardware_faults: self.traffic_faults.load(Ordering::Relaxed),
             shards,
         }
     }
@@ -267,10 +285,11 @@ impl LiveFaultPlan {
         (worker + attempt) % count
     }
 
-    /// Traffic hit a hardware fault on shard `i`: demote `Healthy` to
-    /// `Suspect` (the scrubber takes it from there) and void any clean
-    /// streak. Quarantined shards stay quarantined.
+    /// Traffic hit a hardware fault on shard `i`: count it, demote
+    /// `Healthy` to `Suspect` (the scrubber takes it from there) and void
+    /// any clean streak. Quarantined shards stay quarantined.
     pub(crate) fn mark_suspect(&self, i: usize) {
+        self.traffic_faults.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[i % self.shards.len()];
         shard.clean_streak.store(0, Ordering::Release);
         let _ = shard.health.compare_exchange(
@@ -281,15 +300,19 @@ impl LiveFaultPlan {
         );
     }
 
-    /// A dirty probe on shard `i`: quarantine it. Returns `true` on the
-    /// transition into `Quarantined` (emit the repair event exactly once).
+    /// A dirty probe on shard `i`: quarantine it. Returns `true` (and
+    /// counts a quarantine) on the transition into `Quarantined` only.
     fn quarantine(&self, i: usize) -> bool {
         let shard = &self.shards[i];
         shard.clean_streak.store(0, Ordering::Release);
-        shard
+        let entered = shard
             .health
             .swap(ShardHealth::Quarantined as u8, Ordering::AcqRel)
-            != ShardHealth::Quarantined as u8
+            != ShardHealth::Quarantined as u8;
+        if entered {
+            self.quarantines.fetch_add(1, Ordering::Relaxed);
+        }
+        entered
     }
 
     /// A clean probe on shard `i`: bump and return the streak.
@@ -298,16 +321,23 @@ impl LiveFaultPlan {
     }
 
     /// The streak reached the restore threshold: return shard `i` to
-    /// service. Returns `true` if it was out of service.
+    /// service. Returns `true` (and counts a restore) if it was out of
+    /// service.
     fn restore(&self, i: usize) -> bool {
         let shard = &self.shards[i];
         shard.clean_streak.store(0, Ordering::Release);
-        shard
+        let returned = shard
             .health
             .swap(ShardHealth::Healthy as u8, Ordering::AcqRel)
-            != ShardHealth::Healthy as u8
+            != ShardHealth::Healthy as u8;
+        if returned {
+            self.restores.fetch_add(1, Ordering::Relaxed);
+        }
+        returned
     }
 
+    /// Starts shard `i`'s next probe; the per-shard rounds double as the
+    /// plan's probe count.
     fn next_probe_round(&self, i: usize) -> u64 {
         self.shards[i].probe_round.fetch_add(1, Ordering::Relaxed)
     }
@@ -334,6 +364,14 @@ pub struct PlanStatus {
     pub healthy: usize,
     /// Whether any shard is out of service.
     pub degraded: bool,
+    /// Scrubber probes of suspect or quarantined shards.
+    pub scrub_probes: u64,
+    /// Shards the scrubber confirmed faulty and quarantined.
+    pub shards_quarantined: u64,
+    /// Out-of-service shards the scrubber restored to service.
+    pub shards_restored: u64,
+    /// Hardware faults detected by traffic's output balance check.
+    pub hardware_faults: u64,
     /// Per-shard health and fault maps, in shard order.
     pub shards: Vec<ShardStatus>,
 }
@@ -342,13 +380,7 @@ pub struct PlanStatus {
 /// test permutations on a private [`FaultyFabric`] (probes never touch
 /// the traffic path and their detections do not count as traffic faults).
 /// Runs until `stop` is set by the engine scope winding down.
-pub(crate) fn scrubber_loop<O: Observer>(
-    stop: &AtomicBool,
-    net: BnbNetwork,
-    plan: &LiveFaultPlan,
-    observer: &O,
-) {
-    let observing = observer.enabled();
+pub(crate) fn scrubber_loop(stop: &AtomicBool, net: BnbNetwork, plan: &LiveFaultPlan) {
     let n = net.inputs();
     let mut fabric = FaultyFabric::new(net, FaultMap::new());
     let mut lines = Vec::with_capacity(n);
@@ -377,35 +409,10 @@ pub(crate) fn scrubber_loop<O: Observer>(
                     break;
                 }
             }
-            if clean {
-                let streak = plan.record_clean(shard);
-                if observing {
-                    observer.shard_scrubbed(ScrubEvent {
-                        shard,
-                        clean: true,
-                        streak,
-                    });
-                }
-                if streak >= plan.restore_after && plan.restore(shard) && observing {
-                    observer.shard_repaired(RepairEvent {
-                        shard,
-                        restored: true,
-                    });
-                }
-            } else {
-                if observing {
-                    observer.shard_scrubbed(ScrubEvent {
-                        shard,
-                        clean: false,
-                        streak: 0,
-                    });
-                }
-                if plan.quarantine(shard) && observing {
-                    observer.shard_repaired(RepairEvent {
-                        shard,
-                        restored: false,
-                    });
-                }
+            if !clean {
+                plan.quarantine(shard);
+            } else if plan.record_clean(shard) >= plan.restore_after {
+                plan.restore(shard);
             }
         }
         if plan.scrub_interval.is_zero() {
@@ -419,7 +426,6 @@ pub(crate) fn scrubber_loop<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnb_obs::Counters;
 
     fn stuck(site: (usize, usize, usize)) -> (FaultSite, FaultKind) {
         (
@@ -448,6 +454,12 @@ mod tests {
         assert!(plan.restore(1));
         assert!(!plan.restore(1), "already in service");
         assert_eq!(plan.healthy_shards(), 3);
+        // Each transition counts once; every traffic detection counts.
+        let status = plan.status();
+        assert_eq!(status.shards_quarantined, 1);
+        assert_eq!(status.shards_restored, 1);
+        assert_eq!(status.hardware_faults, 2);
+        assert_eq!(status.scrub_probes, 0, "no scrubber ran");
     }
 
     #[test]
@@ -504,7 +516,6 @@ mod tests {
 
     #[test]
     fn scrubber_quarantines_then_restores_a_transient() {
-        let counters = Counters::new();
         let net = BnbNetwork::new(3);
         let plan = LiveFaultPlan::healthy(2)
             .with_probe_seed(7)
@@ -515,7 +526,7 @@ mod tests {
         plan.mark_suspect(1);
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
-            s.spawn(|| scrubber_loop(&stop, net, &plan, &counters));
+            s.spawn(|| scrubber_loop(&stop, net, &plan));
             // Quarantine must come first, then the clear must restore.
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             while plan.health(1) != ShardHealth::Quarantined {
@@ -535,9 +546,9 @@ mod tests {
             }
             stop.store(true, Ordering::Release);
         });
-        let snap = counters.snapshot();
-        assert!(snap.scrub_probes >= 2, "probes were emitted");
-        assert!(snap.shards_quarantined >= 1);
-        assert!(snap.shards_restored >= 1);
+        let status = plan.status();
+        assert!(status.scrub_probes >= 2, "probes were counted");
+        assert!(status.shards_quarantined >= 1);
+        assert!(status.shards_restored >= 1);
     }
 }

@@ -10,9 +10,8 @@
 //! monitoring.
 
 use crate::event::{
-    AcceptEvent, AuthEvent, ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, RepairEvent,
-    RetryEvent, RoundEvent, ScrubEvent, ServeEvent, ShardEvent, SubmitEvent, SweepEvent,
-    ThrottleEvent, WakeEvent, WindowEvent,
+    ColumnEvent, ConflictEvent, DrainEvent, FaultEvent, RetryEvent, RoundEvent, ShardEvent,
+    SubmitEvent, SweepEvent,
 };
 use crate::histogram::{AtomicHistogram, LatencyHistogram, LatencySummary};
 use crate::observer::Observer;
@@ -38,7 +37,7 @@ fn shard_index() -> usize {
 
 /// One writer shard, padded to its own cache lines.
 #[repr(align(128))]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Shard {
     columns: AtomicU64,
     exchanges: AtomicU64,
@@ -55,93 +54,10 @@ struct Shard {
     max_round_backlog: AtomicU64,
     hardware_faults: AtomicU64,
     fault_retries: AtomicU64,
-    connections_accepted: AtomicU64,
-    frames_served: AtomicU64,
-    retries_issued: AtomicU64,
-    auth_failures: AtomicU64,
-    reactor_wakeups: AtomicU64,
-    max_window_depth: AtomicU64,
-    scrub_probes: AtomicU64,
-    shards_quarantined: AtomicU64,
-    shards_restored: AtomicU64,
     stage_columns: [AtomicU64; MAX_STAGES],
     stage_exchanges: [AtomicU64; MAX_STAGES],
     stage_sweeps: [AtomicU64; MAX_STAGES],
     stage_conflicts: [AtomicU64; MAX_STAGES],
-}
-
-impl Shard {
-    fn new() -> Self {
-        let zeroes = || std::array::from_fn(|_| AtomicU64::new(0));
-        Shard {
-            columns: AtomicU64::new(0),
-            exchanges: AtomicU64::new(0),
-            sweeps: AtomicU64::new(0),
-            max_sweep_depth: AtomicU64::new(0),
-            conflicts: AtomicU64::new(0),
-            shards_enqueued: AtomicU64::new(0),
-            shards_stolen: AtomicU64::new(0),
-            batches_submitted: AtomicU64::new(0),
-            batches_drained: AtomicU64::new(0),
-            batch_errors: AtomicU64::new(0),
-            scheduler_rounds: AtomicU64::new(0),
-            records_matched: AtomicU64::new(0),
-            max_round_backlog: AtomicU64::new(0),
-            hardware_faults: AtomicU64::new(0),
-            fault_retries: AtomicU64::new(0),
-            connections_accepted: AtomicU64::new(0),
-            frames_served: AtomicU64::new(0),
-            retries_issued: AtomicU64::new(0),
-            auth_failures: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            max_window_depth: AtomicU64::new(0),
-            scrub_probes: AtomicU64::new(0),
-            shards_quarantined: AtomicU64::new(0),
-            shards_restored: AtomicU64::new(0),
-            stage_columns: zeroes(),
-            stage_exchanges: zeroes(),
-            stage_sweeps: zeroes(),
-            stage_conflicts: zeroes(),
-        }
-    }
-
-    fn reset(&self) {
-        let scalars = [
-            &self.columns,
-            &self.exchanges,
-            &self.sweeps,
-            &self.max_sweep_depth,
-            &self.conflicts,
-            &self.shards_enqueued,
-            &self.shards_stolen,
-            &self.batches_submitted,
-            &self.batches_drained,
-            &self.batch_errors,
-            &self.scheduler_rounds,
-            &self.records_matched,
-            &self.max_round_backlog,
-            &self.hardware_faults,
-            &self.fault_retries,
-            &self.connections_accepted,
-            &self.frames_served,
-            &self.retries_issued,
-            &self.auth_failures,
-            &self.reactor_wakeups,
-            &self.max_window_depth,
-            &self.scrub_probes,
-            &self.shards_quarantined,
-            &self.shards_restored,
-        ];
-        for counter in scalars {
-            counter.store(0, Ordering::Relaxed);
-        }
-        for stage in 0..MAX_STAGES {
-            self.stage_columns[stage].store(0, Ordering::Relaxed);
-            self.stage_exchanges[stage].store(0, Ordering::Relaxed);
-            self.stage_sweeps[stage].store(0, Ordering::Relaxed);
-            self.stage_conflicts[stage].store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[inline]
@@ -172,7 +88,7 @@ impl Counters {
     /// A zeroed sink.
     pub fn new() -> Self {
         Counters {
-            shards: std::array::from_fn(|_| Shard::new()),
+            shards: std::array::from_fn(|_| Shard::default()),
             histogram: AtomicHistogram::new(),
         }
     }
@@ -191,17 +107,6 @@ impl Counters {
     #[inline]
     pub fn record_latency(&self, ns: u64) {
         self.histogram.record(ns);
-    }
-
-    /// Zeroes every counter, per-stage slot, and the latency histogram —
-    /// the per-serving-session reset (high-water marks included). Not a
-    /// point-in-time cut under concurrent writers; call it between
-    /// sessions, not during one.
-    pub fn reset(&self) {
-        for shard in &self.shards {
-            shard.reset();
-        }
-        self.histogram.reset();
     }
 
     fn sum(&self, field: impl Fn(&Shard) -> &AtomicU64) -> u64 {
@@ -256,15 +161,6 @@ impl Counters {
             max_round_backlog: self.max(|s| &s.max_round_backlog),
             hardware_faults: self.sum(|s| &s.hardware_faults),
             fault_retries: self.sum(|s| &s.fault_retries),
-            connections_accepted: self.sum(|s| &s.connections_accepted),
-            frames_served: self.sum(|s| &s.frames_served),
-            retries_issued: self.sum(|s| &s.retries_issued),
-            auth_failures: self.sum(|s| &s.auth_failures),
-            reactor_wakeups: self.sum(|s| &s.reactor_wakeups),
-            max_window_depth: self.max(|s| &s.max_window_depth),
-            scrub_probes: self.sum(|s| &s.scrub_probes),
-            shards_quarantined: self.sum(|s| &s.shards_quarantined),
-            shards_restored: self.sum(|s| &s.shards_restored),
             per_stage,
             latency: LatencySummary::from_histogram(&histogram),
             histogram,
@@ -350,56 +246,6 @@ impl Observer for Counters {
     fn batch_retried(&self, _event: RetryEvent) {
         self.shard().fault_retries.fetch_add(1, Ordering::Relaxed);
     }
-
-    #[inline]
-    fn connection_accepted(&self, _event: AcceptEvent) {
-        self.shard()
-            .connections_accepted
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn frame_served(&self, event: ServeEvent) {
-        self.shard().frames_served.fetch_add(1, Ordering::Relaxed);
-        self.histogram.record(event.latency_ns);
-    }
-
-    #[inline]
-    fn retry_issued(&self, _event: ThrottleEvent) {
-        self.shard().retries_issued.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn auth_failed(&self, _event: AuthEvent) {
-        self.shard().auth_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn window_observed(&self, event: WindowEvent) {
-        self.shard()
-            .max_window_depth
-            .fetch_max(event.depth as u64, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn reactor_woken(&self, _event: WakeEvent) {
-        self.shard().reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn shard_scrubbed(&self, _event: ScrubEvent) {
-        self.shard().scrub_probes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn shard_repaired(&self, event: RepairEvent) {
-        let shard = self.shard();
-        if event.restored {
-            shard.shards_restored.fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.shards_quarantined.fetch_add(1, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Per-main-stage counter totals.
@@ -450,24 +296,6 @@ pub struct MetricsSnapshot {
     pub hardware_faults: u64,
     /// Batch retries on alternate fabric shards after a fault.
     pub fault_retries: u64,
-    /// Client connections accepted by the serving front door.
-    pub connections_accepted: u64,
-    /// Frames routed and delivered back to clients.
-    pub frames_served: u64,
-    /// Frames pushed back with an explicit `RETRY` response.
-    pub retries_issued: u64,
-    /// Submits rejected because their authentication tag failed to verify.
-    pub auth_failures: u64,
-    /// Times a reactor lane was nudged awake through its wake pipe.
-    pub reactor_wakeups: u64,
-    /// Deepest per-connection pipeline window observed.
-    pub max_window_depth: u64,
-    /// Background scrubber probes of suspect/quarantined fabric shards.
-    pub scrub_probes: u64,
-    /// Fabric shards confirmed faulty and quarantined by the scrubber.
-    pub shards_quarantined: u64,
-    /// Quarantined fabric shards restored to service after clearing.
-    pub shards_restored: u64,
     /// Per-main-stage breakdown (trailing all-zero stages trimmed).
     pub per_stage: Vec<StageMetrics>,
     /// Latency quantiles over all recorded spans/batch drains.
@@ -591,125 +419,6 @@ mod tests {
         let snap = c.snapshot();
         assert_eq!(snap.hardware_faults, 1);
         assert_eq!(snap.fault_retries, 2);
-    }
-
-    #[test]
-    fn serve_events_are_counted() {
-        let c = Counters::new();
-        c.connection_accepted(AcceptEvent { conn: 0 });
-        c.connection_accepted(AcceptEvent { conn: 1 });
-        c.frame_served(ServeEvent {
-            tenant: 3,
-            request_id: 9,
-            records: 16,
-            latency_ns: 2_000,
-        });
-        c.retry_issued(ThrottleEvent {
-            tenant: 3,
-            reason: 1,
-        });
-        c.retry_issued(ThrottleEvent {
-            tenant: 4,
-            reason: 2,
-        });
-        c.retry_issued(ThrottleEvent {
-            tenant: 3,
-            reason: 3,
-        });
-        c.auth_failed(AuthEvent {
-            tenant: 4,
-            request_id: 11,
-        });
-        c.reactor_woken(WakeEvent { lane: 0 });
-        c.reactor_woken(WakeEvent { lane: 1 });
-        c.window_observed(WindowEvent { conn: 7, depth: 5 });
-        c.window_observed(WindowEvent { conn: 9, depth: 3 });
-        let snap = c.snapshot();
-        assert_eq!(snap.connections_accepted, 2);
-        assert_eq!(snap.frames_served, 1);
-        assert_eq!(snap.retries_issued, 3);
-        assert_eq!(snap.auth_failures, 1);
-        assert_eq!(snap.reactor_wakeups, 2);
-        assert_eq!(snap.max_window_depth, 5);
-        assert_eq!(snap.histogram.count(), 1, "served frames feed latency");
-    }
-
-    #[test]
-    fn scrub_and_repair_events_are_counted() {
-        let c = Counters::new();
-        c.shard_scrubbed(ScrubEvent {
-            shard: 1,
-            clean: false,
-            streak: 0,
-        });
-        c.shard_scrubbed(ScrubEvent {
-            shard: 1,
-            clean: true,
-            streak: 1,
-        });
-        c.shard_scrubbed(ScrubEvent {
-            shard: 1,
-            clean: true,
-            streak: 2,
-        });
-        c.shard_repaired(RepairEvent {
-            shard: 1,
-            restored: false,
-        });
-        c.shard_repaired(RepairEvent {
-            shard: 1,
-            restored: true,
-        });
-        let snap = c.snapshot();
-        assert_eq!(snap.scrub_probes, 3);
-        assert_eq!(snap.shards_quarantined, 1);
-        assert_eq!(snap.shards_restored, 1);
-        c.reset();
-        assert_eq!(c.snapshot(), Counters::new().snapshot());
-    }
-
-    #[test]
-    fn reset_zeroes_counters_high_waters_and_histogram() {
-        let c = Counters::new();
-        c.column_routed(column(2, 5));
-        c.arbiter_sweep(SweepEvent {
-            main_stage: 0,
-            internal_stage: 0,
-            first_line: 0,
-            width: 8,
-            depth: 3,
-        });
-        c.scheduler_round(RoundEvent {
-            round: 0,
-            matched: 2,
-            backlog: 40,
-        });
-        c.connection_accepted(AcceptEvent { conn: 0 });
-        c.frame_served(ServeEvent {
-            tenant: 0,
-            request_id: 0,
-            records: 8,
-            latency_ns: 777,
-        });
-        c.retry_issued(ThrottleEvent {
-            tenant: 0,
-            reason: 1,
-        });
-        c.auth_failed(AuthEvent {
-            tenant: 0,
-            request_id: 0,
-        });
-        c.reactor_woken(WakeEvent { lane: 0 });
-        c.window_observed(WindowEvent { conn: 1, depth: 9 });
-        assert_ne!(c.snapshot(), Counters::new().snapshot());
-        c.reset();
-        let snap = c.snapshot();
-        assert_eq!(snap, Counters::new().snapshot());
-        assert_eq!(snap.max_sweep_depth, 0, "high-water marks reset too");
-        assert_eq!(snap.max_round_backlog, 0);
-        assert_eq!(snap.max_window_depth, 0);
-        assert_eq!(snap.histogram.count(), 0);
-        assert!(snap.per_stage.is_empty());
     }
 
     #[test]

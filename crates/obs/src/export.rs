@@ -43,15 +43,6 @@ pub fn render_text(snapshot: &MetricsSnapshot) -> String {
     line("max_round_backlog", snapshot.max_round_backlog);
     line("hardware_faults", snapshot.hardware_faults);
     line("fault_retries", snapshot.fault_retries);
-    line("connections_accepted", snapshot.connections_accepted);
-    line("frames_served", snapshot.frames_served);
-    line("retries_issued", snapshot.retries_issued);
-    line("auth_failures", snapshot.auth_failures);
-    line("reactor_wakeups", snapshot.reactor_wakeups);
-    line("max_window_depth", snapshot.max_window_depth);
-    line("scrub_probes", snapshot.scrub_probes);
-    line("shards_quarantined", snapshot.shards_quarantined);
-    line("shards_restored", snapshot.shards_restored);
     if !snapshot.per_stage.is_empty() {
         // Column widths grow with the data so counters past the headers'
         // widths (10+ digits) stay aligned instead of shearing the table.
@@ -149,155 +140,101 @@ pub fn render_text(snapshot: &MetricsSnapshot) -> String {
 /// ```
 pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let mut family = |name: &str, kind: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    family(
-        "bnb_columns_total",
-        "counter",
-        "Switching columns routed.",
-        snapshot.columns,
-    );
-    family(
-        "bnb_exchanges_total",
-        "counter",
-        "2x2 switches that exchanged their pair.",
-        snapshot.exchanges,
-    );
-    family(
-        "bnb_arbiter_sweeps_total",
-        "counter",
-        "Splitter arbiter-tree sweeps completed.",
-        snapshot.arbiter_sweeps,
-    );
-    family(
-        "bnb_max_sweep_depth",
-        "gauge",
-        "Deepest arbiter tree swept.",
-        snapshot.max_sweep_depth,
-    );
-    family(
-        "bnb_conflicts_total",
-        "counter",
-        "Splitter balance violations observed.",
-        snapshot.conflicts,
-    );
-    family(
-        "bnb_shards_enqueued_total",
-        "counter",
-        "Subnetwork slices published to the engine work queue.",
-        snapshot.shards_enqueued,
-    );
-    family(
-        "bnb_shards_stolen_total",
-        "counter",
-        "Queued slices taken by engine workers.",
-        snapshot.shards_stolen,
-    );
-    family(
-        "bnb_batches_submitted_total",
-        "counter",
-        "Batches submitted to the engine.",
-        snapshot.batches_submitted,
-    );
-    family(
-        "bnb_batches_drained_total",
-        "counter",
-        "Batches drained from the engine.",
-        snapshot.batches_drained,
-    );
-    family(
-        "bnb_batch_errors_total",
-        "counter",
-        "Batches that finished in error.",
-        snapshot.batch_errors,
-    );
-    family(
-        "bnb_scheduler_rounds_total",
-        "counter",
-        "Input-queued-switch scheduler rounds.",
-        snapshot.scheduler_rounds,
-    );
-    family(
-        "bnb_records_matched_total",
-        "counter",
-        "Records matched to outputs by the scheduler.",
-        snapshot.records_matched,
-    );
-    family(
-        "bnb_max_round_backlog",
-        "gauge",
-        "Deepest post-round scheduler backlog.",
-        snapshot.max_round_backlog,
-    );
-    family(
-        "bnb_hardware_faults_total",
-        "counter",
-        "Hardware faults detected by the output balance check.",
-        snapshot.hardware_faults,
-    );
-    family(
-        "bnb_fault_retries_total",
-        "counter",
-        "Batches retried on another fabric shard.",
-        snapshot.fault_retries,
-    );
-    family(
-        "bnb_connections_accepted_total",
-        "counter",
-        "Client connections accepted by the serving front door.",
-        snapshot.connections_accepted,
-    );
-    family(
-        "bnb_frames_served_total",
-        "counter",
-        "Frames routed and delivered back to clients.",
-        snapshot.frames_served,
-    );
-    family(
-        "bnb_retries_issued_total",
-        "counter",
-        "Frames pushed back with an explicit RETRY response.",
-        snapshot.retries_issued,
-    );
-    family(
-        "bnb_auth_failures_total",
-        "counter",
-        "Submits rejected because their authentication tag failed to verify.",
-        snapshot.auth_failures,
-    );
-    family(
-        "bnb_reactor_wakeups_total",
-        "counter",
-        "Times a reactor lane was nudged awake through its wake pipe.",
-        snapshot.reactor_wakeups,
-    );
-    family(
-        "bnb_max_window_depth",
-        "gauge",
-        "Deepest per-connection pipeline window observed.",
-        snapshot.max_window_depth,
-    );
-    family(
-        "bnb_scrub_probes_total",
-        "counter",
-        "Background scrubber probes of fabric shards.",
-        snapshot.scrub_probes,
-    );
-    family(
-        "bnb_shards_quarantined_total",
-        "counter",
-        "Fabric shards confirmed faulty and quarantined.",
-        snapshot.shards_quarantined,
-    );
-    family(
-        "bnb_shards_restored_total",
-        "counter",
-        "Quarantined fabric shards restored to service.",
-        snapshot.shards_restored,
-    );
+    let families = [
+        (
+            "bnb_columns_total",
+            "counter",
+            "Switching columns routed.",
+            snapshot.columns,
+        ),
+        (
+            "bnb_exchanges_total",
+            "counter",
+            "2x2 switches that exchanged their pair.",
+            snapshot.exchanges,
+        ),
+        (
+            "bnb_arbiter_sweeps_total",
+            "counter",
+            "Splitter arbiter-tree sweeps completed.",
+            snapshot.arbiter_sweeps,
+        ),
+        (
+            "bnb_max_sweep_depth",
+            "gauge",
+            "Deepest arbiter tree swept.",
+            snapshot.max_sweep_depth,
+        ),
+        (
+            "bnb_conflicts_total",
+            "counter",
+            "Splitter balance violations observed.",
+            snapshot.conflicts,
+        ),
+        (
+            "bnb_shards_enqueued_total",
+            "counter",
+            "Subnetwork slices published to the engine work queue.",
+            snapshot.shards_enqueued,
+        ),
+        (
+            "bnb_shards_stolen_total",
+            "counter",
+            "Queued slices taken by engine workers.",
+            snapshot.shards_stolen,
+        ),
+        (
+            "bnb_batches_submitted_total",
+            "counter",
+            "Batches submitted to the engine.",
+            snapshot.batches_submitted,
+        ),
+        (
+            "bnb_batches_drained_total",
+            "counter",
+            "Batches drained from the engine.",
+            snapshot.batches_drained,
+        ),
+        (
+            "bnb_batch_errors_total",
+            "counter",
+            "Batches that finished in error.",
+            snapshot.batch_errors,
+        ),
+        (
+            "bnb_scheduler_rounds_total",
+            "counter",
+            "Input-queued-switch scheduler rounds.",
+            snapshot.scheduler_rounds,
+        ),
+        (
+            "bnb_records_matched_total",
+            "counter",
+            "Records matched to outputs by the scheduler.",
+            snapshot.records_matched,
+        ),
+        (
+            "bnb_max_round_backlog",
+            "gauge",
+            "Deepest post-round scheduler backlog.",
+            snapshot.max_round_backlog,
+        ),
+        (
+            "bnb_hardware_faults_total",
+            "counter",
+            "Hardware faults detected by the output balance check.",
+            snapshot.hardware_faults,
+        ),
+        (
+            "bnb_fault_retries_total",
+            "counter",
+            "Batches retried on another fabric shard.",
+            snapshot.fault_retries,
+        ),
+    ];
+    for (name, kind, help, value) in families {
+        write_family(&mut out, name, kind, help, value);
+    }
 
     if !snapshot.per_stage.is_empty() {
         let mut stage_family = |name: &str, help: &str, pick: fn(&crate::StageMetrics) -> u64| {
@@ -370,18 +307,15 @@ pub fn render_prometheus(snapshot: &MetricsSnapshot) -> String {
 /// Appended after [`render_prometheus`] on the `/metrics` endpoint.
 pub fn render_prometheus_telemetry(snapshot: &TelemetrySnapshot) -> String {
     let mut out = String::new();
-    let mut family = |name: &str, kind: &str, help: &str, value: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        let _ = writeln!(out, "{name} {value}");
-    };
-    family(
+    write_family(
+        &mut out,
         "bnb_serve_uptime_ms",
         "gauge",
         "Milliseconds since the serving telemetry sink started.",
         snapshot.uptime_ms,
     );
-    family(
+    write_family(
+        &mut out,
         "bnb_serve_slow_requests_total",
         "counter",
         "Served requests that crossed the --slow-ms capture threshold.",
@@ -481,6 +415,14 @@ pub fn render_prometheus_telemetry(snapshot: &TelemetrySnapshot) -> String {
     out
 }
 
+/// Appends one unlabelled family to a Prometheus exposition: its
+/// `# HELP` and `# TYPE` lines, then the single sample `name value`.
+pub fn write_family(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
+    let _ = writeln!(out, "# HELP {name} {help}");
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    let _ = writeln!(out, "{name} {value}");
+}
+
 /// Renders a snapshot as a JSON object.
 pub fn render_json(snapshot: &MetricsSnapshot) -> Result<String, serde_json::Error> {
     serde_json::to_string(snapshot)
@@ -529,15 +471,6 @@ mod tests {
         assert!(text.contains("arbiter_sweeps         1"));
         assert!(text.contains("hardware_faults        0"));
         assert!(text.contains("fault_retries          0"));
-        assert!(text.contains("connections_accepted   0"));
-        assert!(text.contains("frames_served          0"));
-        assert!(text.contains("retries_issued         0"));
-        assert!(text.contains("auth_failures          0"));
-        assert!(text.contains("reactor_wakeups        0"));
-        assert!(text.contains("max_window_depth       0"));
-        assert!(text.contains("scrub_probes           0"));
-        assert!(text.contains("shards_quarantined     0"));
-        assert!(text.contains("shards_restored        0"));
         assert!(text.contains("stage 0"));
         assert!(text.contains("stage 1"));
         assert!(text.contains("latency_ns"));
@@ -598,18 +531,6 @@ mod tests {
         assert!(text.contains("# TYPE bnb_columns_total counter"));
         assert!(text.contains("bnb_columns_total 1"));
         assert!(text.contains("bnb_arbiter_sweeps_total 1"));
-        assert!(text.contains("# TYPE bnb_frames_served_total counter"));
-        assert!(text.contains("bnb_connections_accepted_total 0"));
-        assert!(text.contains("bnb_retries_issued_total 0"));
-        assert!(text.contains("# TYPE bnb_auth_failures_total counter"));
-        assert!(text.contains("bnb_auth_failures_total 0"));
-        assert!(text.contains("bnb_reactor_wakeups_total 0"));
-        assert!(text.contains("# TYPE bnb_max_window_depth gauge"));
-        assert!(text.contains("bnb_max_window_depth 0"));
-        assert!(text.contains("# TYPE bnb_scrub_probes_total counter"));
-        assert!(text.contains("bnb_scrub_probes_total 0"));
-        assert!(text.contains("bnb_shards_quarantined_total 0"));
-        assert!(text.contains("bnb_shards_restored_total 0"));
         assert!(text.contains("bnb_stage_columns_total{stage=\"0\"} 1"));
         assert!(text.contains("bnb_stage_sweeps_total{stage=\"1\"} 1"));
         assert!(text.contains("# TYPE bnb_batch_latency_ns histogram"));

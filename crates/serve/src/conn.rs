@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use bnb_obs::{AuthEvent, Observer, ServeEvent, Span, SpanKind, Stage, ThrottleEvent, WindowEvent};
+use bnb_obs::{Span, SpanKind, Stage};
 use bnb_topology::record::Record;
 
 use crate::protocol::{ErrorCode, FrameAssembler, Message, RetryReason};
@@ -158,12 +158,7 @@ impl Pending {
 pub(crate) enum Account {
     /// A successfully routed frame: `frames_served` if the connection
     /// still exists, `responses_dropped` otherwise.
-    Served {
-        tenant: u16,
-        request_id: u64,
-        records: usize,
-        arrival: Instant,
-    },
+    Served,
     /// An engine ERROR: `frames_errored` if deliverable, dropped if not.
     Errored,
     /// Already fully accounted at the dispatcher (defensive RETRY).
@@ -382,19 +377,8 @@ impl Conn {
     pub fn deliver(&mut self, ctx: &SessionCtx<'_>, completion: Completion) {
         self.window_used = self.window_used.saturating_sub(1);
         match &completion.account {
-            Account::Served {
-                tenant,
-                request_id,
-                records,
-                arrival,
-            } => {
+            Account::Served => {
                 SessionStats::bump(&ctx.stats.frames_served);
-                ctx.counters.frame_served(ServeEvent {
-                    tenant: *tenant,
-                    request_id: *request_id,
-                    records: *records,
-                    latency_ns: arrival.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                });
             }
             Account::Errored => {
                 SessionStats::bump(&ctx.stats.frames_errored);
@@ -587,7 +571,6 @@ impl Conn {
     fn refuse_auth(&mut self, ctx: &SessionCtx<'_>, tenant: u16, request_id: u64, why: &str) {
         SessionStats::bump(&ctx.stats.auth_failures);
         SessionStats::bump(&ctx.stats.frames_errored);
-        ctx.counters.auth_failed(AuthEvent { tenant, request_id });
         ctx.telemetry.record_error(tenant);
         let reply = Message::Error {
             tenant,
@@ -644,10 +627,6 @@ impl Conn {
         self.window_used += 1;
         ctx.window_depth
             .fetch_max(self.window_used, Ordering::AcqRel);
-        ctx.counters.window_observed(WindowEvent {
-            conn: self.token,
-            depth: self.window_used,
-        });
         let lines: Vec<Record> = dests
             .iter()
             .enumerate()
@@ -681,10 +660,6 @@ impl Conn {
     /// Answers a refused SUBMIT with an explicit RETRY.
     fn refuse(&mut self, ctx: &SessionCtx<'_>, tenant: u16, request_id: u64, reason: RetryReason) {
         SessionStats::bump(&ctx.stats.retries_issued);
-        ctx.counters.retry_issued(ThrottleEvent {
-            tenant,
-            reason: reason.as_u8(),
-        });
         ctx.telemetry.record_retry(tenant);
         let reply = Message::Retry {
             tenant,

@@ -19,11 +19,11 @@
 //!   delivered, threads join deterministically, and the session's
 //!   [`server::ServeReport`] balances its frame ledger. The same
 //!   listener doubles as the operator surface: HTTP `GET /metrics`
-//!   answers with the Prometheus exposition of the shared
-//!   [`bnb_obs::Counters`] plus per-stage/per-tenant request telemetry,
-//!   `GET /status` (and the wire `STATUS` opcode) with a JSON
-//!   [`server::StatusSnapshot`] covering uptime, tenant windows, engine
-//!   queue depths, and live fabric health.
+//!   answers with the Prometheus exposition of the session ledger, the
+//!   fault plan's repair counts and per-stage/per-tenant request
+//!   telemetry, `GET /status` (and the wire `STATUS` opcode) with a JSON
+//!   [`server::StatusSnapshot`] covering uptime, the ledger, tenant
+//!   windows, engine queue depths, and live fabric health.
 //! - [`loadgen`]: an open/closed-loop load generator that verifies every
 //!   routed frame against the submitted permutation, optionally resubmits
 //!   RETRYed frames, and reports latency percentiles (first-attempt and

@@ -35,8 +35,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
-use bnb_obs::{Observer, WakeEvent};
-
 use crate::conn::{Account, Completion, Conn, RouteJob};
 use crate::server::{SessionCtx, SessionStats};
 use crate::sys::{PollEvent, Poller, WakePipe};
@@ -129,14 +127,14 @@ impl ReactorShared {
     }
 }
 
+/// The descriptor a socket registers with a [`Poller`] under.
 #[cfg(unix)]
-fn fd_of(stream: &TcpStream) -> i32 {
-    use std::os::unix::io::AsRawFd;
-    stream.as_raw_fd()
+pub(crate) fn fd_of(socket: &impl std::os::unix::io::AsRawFd) -> i32 {
+    socket.as_raw_fd()
 }
 
 #[cfg(not(unix))]
-fn fd_of(_stream: &TcpStream) -> i32 {
+pub(crate) fn fd_of<T>(_socket: &T) -> i32 {
     -1
 }
 
@@ -179,9 +177,7 @@ pub(crate) fn run_reactor(
         for ev in &events {
             if ev.token == WAKE_TOKEN {
                 lane.wake.drain();
-                ctx.counters.reactor_woken(WakeEvent {
-                    lane: lane_idx as u32,
-                });
+                SessionStats::bump(&ctx.stats.reactor_wakeups);
                 continue;
             }
             let Some(conn) = conns.get_mut(&ev.token) else {
@@ -300,7 +296,7 @@ fn deliver_completion(
             conn.deliver(ctx, completion);
         }
         _ => match completion.account {
-            Account::Served { .. } | Account::Errored => {
+            Account::Served | Account::Errored => {
                 SessionStats::bump(&ctx.stats.responses_dropped);
             }
             Account::None => {}

@@ -18,11 +18,19 @@
 //! A frame that fails admission is answered with an explicit `RETRY`
 //! response — the server never buffers beyond its declared bounds. A
 //! single dispatcher thread aggregates admitted frames into
-//! [`FrameBatch`] jobs for the engine's word-parallel batched kernel
-//! (pipelined clients keep multiple frames in flight, so the batch is
-//! usually non-trivial) and fans completions back to the owning reactor
-//! lane, keyed by the engine's opaque completion token
-//! ([`crate::conn::ReplyRoute`]).
+//! [`FrameBatch`] jobs of at most `MAX_BATCH_CELLS` (16 Ki) cells for the
+//! engine's word-parallel batched kernel (pipelined clients keep multiple
+//! frames in flight, so the batch is usually non-trivial) and fans
+//! completions back to the owning reactor lane, keyed by the engine's
+//! opaque completion token ([`crate::conn::ReplyRoute`]). The engine runs
+//! unobserved: routing needs no per-column events (every splitter sets
+//! its switches from local bits), so served frames take the packed and
+//! batched kernels.
+//!
+//! The acceptor waits on the listener's readiness (a `Poller` of its
+//! own) with a bounded timeout, so a new connection is taken at once and
+//! a drain request is still seen; only after a transient `accept` error
+//! does it back off on a timer.
 //!
 //! On shutdown (SIGTERM/SIGINT via [`install_signal_handlers`], a wire
 //! `SHUTDOWN` message, or [`ServerControl::trigger_shutdown`]) the
@@ -34,10 +42,18 @@
 //! The listener doubles as an HTTP operator surface: a connection whose
 //! first bytes are `"GET "` is answered once and closed — `/status`
 //! returns a JSON [`StatusSnapshot`], any other path the
-//! `text/plain; version=0.0.4` Prometheus exposition rendered from the
-//! shared [`Counters`] plus the request-lifecycle [`Telemetry`]
-//! families. The sniff is nonblocking: a client that dribbles its GET
-//! line byte-at-a-time stalls only its own connection.
+//! `text/plain; version=0.0.4` Prometheus exposition of the session's
+//! counts plus the request-lifecycle [`Telemetry`] families. The sniff
+//! is nonblocking: a client that dribbles its GET line byte-at-a-time
+//! stalls only its own connection.
+//!
+//! # One owner per count
+//!
+//! The session ledger (`SessionStats`, rendered as a [`ServeReport`])
+//! is the only place a served, refused or failed frame, an accepted or
+//! refused connection, or a reactor wakeup is counted; the live fault
+//! plan counts its own repair transitions ([`PlanStatus`]). The final
+//! report, `/status` and `/metrics` all read those two owners.
 //!
 //! With `--tenant-keys` ([`Server::with_tenant_keys`]) the server runs
 //! keyed: SUBMITs must arrive as `SUBMIT_TAGGED` with a valid
@@ -75,16 +91,25 @@ use bnb_engine::{
     ShardDepth, Submission,
 };
 use bnb_obs::{
-    render_prometheus, render_prometheus_telemetry, AcceptEvent, Counters, FlightRecorder,
-    LatencySummary, Observer, Telemetry, TelemetrySnapshot, ThrottleEvent,
+    render_prometheus_telemetry, write_family, FlightRecorder, LatencySummary, Telemetry,
+    TelemetrySnapshot,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::auth::TenantKeys;
 use crate::conn::{Account, Completion, Pending, ReplyMeta, ReplyRoute, RouteJob};
 use crate::protocol::{ErrorCode, Message, RetryReason};
-use crate::reactor::{run_reactor, ReactorShared};
+use crate::reactor::{fd_of, run_reactor, ReactorShared};
 use crate::sys::Poller;
+
+/// Most cells (frames × records) the dispatcher puts in one
+/// [`FrameBatch`]: each engine worker sizes its kernel scratch to the
+/// largest batch it has routed, so this bounds that memory per worker.
+pub(crate) const MAX_BATCH_CELLS: usize = 16 * 1024;
+
+/// Longest the acceptor waits for listener readiness before it checks
+/// for a drain request again.
+const ACCEPT_WAIT: Duration = Duration::from_millis(50);
 
 // `SpanKind` appears in doc links only; the spans themselves are
 // recorded by `conn.rs`.
@@ -181,8 +206,9 @@ impl ServerControl {
     }
 }
 
-/// What one serving session did, returned by [`Server::serve`].
-#[derive(Debug, Clone, Serialize)]
+/// What one serving session did, returned by [`Server::serve`] and
+/// served live as [`StatusSnapshot::ledger`].
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Connections accepted (metrics scrapes included).
     pub connections_accepted: u64,
@@ -210,9 +236,12 @@ pub struct ServeReport {
     /// SUBMITs refused for a missing or invalid auth tag (a subset of
     /// `frames_errored`).
     pub auth_failures: u64,
-    /// True when the session ended by graceful drain (vs. listener error).
+    /// Times a reactor lane was woken through its wake pipe.
+    pub reactor_wakeups: u64,
+    /// True when the session ended by graceful drain (vs. listener
+    /// error); in a live snapshot, true until the listener fails.
     pub graceful: bool,
-    /// Session wall-clock duration.
+    /// Session wall-clock duration (so far, in a live snapshot).
     pub elapsed_ms: u64,
     /// Batches the engine completed (served + errored).
     pub engine_batches: u64,
@@ -235,7 +264,9 @@ impl ServeReport {
     }
 }
 
-/// Session-scoped tallies feeding the [`ServeReport`].
+/// The session's serving ledger: the one place each serving fact is
+/// counted. [`build_report`] reads it for the final report, `/status`
+/// and `/metrics`.
 #[derive(Default)]
 pub(crate) struct SessionStats {
     pub connections_accepted: AtomicU64,
@@ -248,6 +279,9 @@ pub(crate) struct SessionStats {
     pub auth_failures: AtomicU64,
     pub connections_over_cap: AtomicU64,
     pub transient_accept_errors: AtomicU64,
+    pub reactor_wakeups: AtomicU64,
+    /// Set when the listener failed and ended the session.
+    pub listener_failed: AtomicBool,
 }
 
 impl SessionStats {
@@ -289,7 +323,6 @@ pub(crate) struct SessionCtx<'s> {
     pub control: &'s ServerControl,
     pub admission: &'s Admission,
     pub stats: &'s SessionStats,
-    pub counters: &'s Counters,
     pub telemetry: &'s Telemetry,
     pub recorder: Option<&'s FlightRecorder>,
     pub plan: Option<&'s LiveFaultPlan>,
@@ -336,9 +369,9 @@ pub struct WindowStatus {
 }
 
 /// What the `/status` endpoint and the wire `STATUS` opcode report: one
-/// JSON document with the session's uptime, request telemetry, engine
-/// queue state, and — when a [`LiveFaultPlan`] is live — per-shard
-/// health and fault maps.
+/// JSON document with the session's uptime, serving ledger, request
+/// telemetry, engine queue state, and — when a [`LiveFaultPlan`] is live
+/// — per-shard health, fault maps and repair counts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StatusSnapshot {
     /// Milliseconds since the serving session started.
@@ -353,6 +386,8 @@ pub struct StatusSnapshot {
     pub draining: bool,
     /// Per-connection pipelining window limit and high water.
     pub window: WindowStatus,
+    /// The serving ledger so far: the final [`ServeReport`]'s counts, live.
+    pub ledger: ServeReport,
     /// Per-stage and per-tenant request telemetry.
     pub telemetry: TelemetrySnapshot,
     /// Engine queue depths and latency quantiles.
@@ -374,6 +409,7 @@ pub(crate) fn build_status(ctx: &SessionCtx<'_>) -> StatusSnapshot {
             limit: ctx.cfg.window,
             max_depth: ctx.window_depth.load(Ordering::Acquire),
         },
+        ledger: build_report(ctx),
         telemetry: ctx.telemetry.snapshot(),
         engine: EngineStatus {
             queue_depth: est.queue_depth,
@@ -389,21 +425,44 @@ pub(crate) fn build_status(ctx: &SessionCtx<'_>) -> StatusSnapshot {
     }
 }
 
-/// A long-lived routing server bound to a shared [`Counters`] sink.
+/// The session's [`ServeReport`] as of now, read from its ledger.
+pub(crate) fn build_report(ctx: &SessionCtx<'_>) -> ServeReport {
+    let stats = ctx.stats;
+    let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let est = (ctx.engine_stats)();
+    ServeReport {
+        connections_accepted: count(&stats.connections_accepted),
+        frames_submitted: count(&stats.frames_submitted),
+        frames_served: count(&stats.frames_served),
+        retries_issued: count(&stats.retries_issued),
+        frames_errored: count(&stats.frames_errored),
+        connections_over_cap: count(&stats.connections_over_cap),
+        transient_accept_errors: count(&stats.transient_accept_errors),
+        responses_dropped: count(&stats.responses_dropped),
+        protocol_errors: count(&stats.protocol_errors),
+        auth_failures: count(&stats.auth_failures),
+        reactor_wakeups: count(&stats.reactor_wakeups),
+        graceful: !stats.listener_failed.load(Ordering::SeqCst),
+        elapsed_ms: ctx.telemetry.uptime_ms(),
+        engine_batches: est.batches,
+        engine_records: est.records,
+        slow_requests: ctx.telemetry.snapshot().slow_captured,
+    }
+}
+
+/// A long-lived routing server.
 pub struct Server<'a> {
     config: ServeConfig,
-    counters: &'a Counters,
     fault_plan: Option<&'a LiveFaultPlan>,
     recorder: Option<&'a FlightRecorder>,
     tenant_keys: Option<TenantKeys>,
 }
 
 impl<'a> Server<'a> {
-    /// A server that reports serving metrics into `counters`.
-    pub fn new(config: ServeConfig, counters: &'a Counters) -> Self {
+    /// A server for `config`.
+    pub fn new(config: ServeConfig) -> Self {
         Server {
             config,
-            counters,
             fault_plan: None,
             recorder: None,
             tenant_keys: None,
@@ -434,14 +493,9 @@ impl<'a> Server<'a> {
     /// background scrubber quarantines and restores shards, and clients
     /// only ever see correct frames, explicit `RETRY`s, or explicit
     /// `ERROR`s — never a silently misdelivered frame.
-    pub fn with_fault_plan(
-        config: ServeConfig,
-        counters: &'a Counters,
-        plan: &'a LiveFaultPlan,
-    ) -> Self {
+    pub fn with_fault_plan(config: ServeConfig, plan: &'a LiveFaultPlan) -> Self {
         Server {
             config,
-            counters,
             fault_plan: Some(plan),
             recorder: None,
             tenant_keys: None,
@@ -449,9 +503,8 @@ impl<'a> Server<'a> {
     }
 
     /// Runs one serving session on `listener` until `control` requests a
-    /// drain (or the listener dies). Resets `counters` at session start so
-    /// the `/metrics` endpoint and final report describe this session
-    /// only. Joins every thread before returning.
+    /// drain (or the listener dies). The report, `/status` and `/metrics`
+    /// describe this session only. Joins every thread before returning.
     pub fn serve(
         &self,
         listener: TcpListener,
@@ -461,19 +514,17 @@ impl<'a> Server<'a> {
         let network = BnbNetwork::builder_for(cfg.inputs)
             .map_err(|e| ServeError::Config(format!("bad network size {}: {e}", cfg.inputs)))?
             .build();
-        let engine = Engine::with_observer(
+        let engine = Engine::new(
             network,
             EngineConfig {
                 workers: cfg.workers.max(1),
                 queue_capacity: cfg.queue_capacity.max(1),
                 shard_depth: ShardDepth::Auto,
             },
-            self.counters,
         );
         listener
             .set_nonblocking(true)
             .map_err(ServeError::Listener)?;
-        self.counters.reset();
 
         let reactors = if cfg.reactor_threads == 0 {
             thread::available_parallelism()
@@ -492,6 +543,10 @@ impl<'a> Server<'a> {
         for _ in 0..reactors {
             pollers.push(Poller::new().map_err(ServeError::Reactor)?);
         }
+        let mut acceptor = Poller::new().map_err(ServeError::Reactor)?;
+        acceptor
+            .add(fd_of(&listener), 0, true, false)
+            .map_err(ServeError::Listener)?;
 
         let stats = SessionStats::default();
         let admission = Admission::new();
@@ -499,19 +554,16 @@ impl<'a> Server<'a> {
         if cfg.slow_ms > 0 {
             telemetry.set_slow_threshold(Some(Duration::from_millis(cfg.slow_ms)));
         }
-        let started = Instant::now();
-        let graceful = AtomicBool::new(true);
         let active_conns = AtomicUsize::new(0);
         let window_depth = AtomicUsize::new(0);
 
-        let session = |handle: &EngineHandle<'_, &Counters>| {
+        let session = |handle: &EngineHandle<'_>| {
             let engine_stats = || handle.stats();
             let ctx = SessionCtx {
                 cfg,
                 control,
                 admission: &admission,
                 stats: &stats,
-                counters: self.counters,
                 telemetry: &telemetry,
                 recorder: self.recorder,
                 plan: self.fault_plan,
@@ -534,6 +586,7 @@ impl<'a> Server<'a> {
                 // Accept loop, run inline on this thread. Fresh sockets
                 // are dealt to reactor lanes round-robin.
                 let mut next_lane = 0usize;
+                let mut ready = Vec::new();
                 loop {
                     if control.shutdown_requested() {
                         break;
@@ -549,14 +602,17 @@ impl<'a> Server<'a> {
                                 drop(stream);
                                 continue;
                             }
-                            let conn = SessionStats::bump(&stats.connections_accepted);
-                            self.counters.connection_accepted(AcceptEvent { conn });
+                            SessionStats::bump(&stats.connections_accepted);
                             active_conns.fetch_add(1, Ordering::AcqRel);
                             shared.lanes[next_lane].register(stream);
                             next_lane = (next_lane + 1) % reactors;
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(5));
+                            // Every pending connection is taken: sleep
+                            // until the next one arrives or it is time
+                            // to look for a drain request.
+                            let _ = acceptor.wait(&mut ready, Some(ACCEPT_WAIT));
+                            ready.clear();
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                         Err(e) if accept_error_is_transient(&e) => {
@@ -564,7 +620,7 @@ impl<'a> Server<'a> {
                             thread::sleep(Duration::from_millis(5));
                         }
                         Err(_) => {
-                            graceful.store(false, Ordering::SeqCst);
+                            stats.listener_failed.store(true, Ordering::SeqCst);
                             // The reactors and dispatcher only exit
                             // through the drain protocol.
                             control.trigger_shutdown();
@@ -581,30 +637,11 @@ impl<'a> Server<'a> {
             // be in flight, but close the engine queue deterministically.
             let tail = handle.drain_and_close();
             debug_assert!(tail.is_empty(), "dispatcher left {} batches", tail.len());
-            let est = handle.stats();
-            (est.batches, est.records)
+            build_report(&ctx)
         };
-        let (engine_batches, engine_records) = match self.fault_plan {
+        let report = match self.fault_plan {
             Some(plan) => engine.run_scrubbed(plan, session),
             None => engine.run(session),
-        };
-
-        let report = ServeReport {
-            connections_accepted: stats.connections_accepted.load(Ordering::Relaxed),
-            frames_submitted: stats.frames_submitted.load(Ordering::Relaxed),
-            frames_served: stats.frames_served.load(Ordering::Relaxed),
-            retries_issued: stats.retries_issued.load(Ordering::Relaxed),
-            frames_errored: stats.frames_errored.load(Ordering::Relaxed),
-            connections_over_cap: stats.connections_over_cap.load(Ordering::Relaxed),
-            transient_accept_errors: stats.transient_accept_errors.load(Ordering::Relaxed),
-            responses_dropped: stats.responses_dropped.load(Ordering::Relaxed),
-            protocol_errors: stats.protocol_errors.load(Ordering::Relaxed),
-            auth_failures: stats.auth_failures.load(Ordering::Relaxed),
-            graceful: graceful.load(Ordering::SeqCst),
-            elapsed_ms: started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64,
-            engine_batches,
-            engine_records,
-            slow_requests: telemetry.snapshot().slow_captured,
         };
         debug_assert!(
             report.accounted(),
@@ -666,11 +703,11 @@ impl std::error::Error for ServeError {
 }
 
 /// The dispatcher: aggregates every admitted frame onto the engine's
-/// bounded queue — full-width frames as one [`FrameBatch`] job for the
+/// bounded queue — full-width frames as [`FrameBatch`] jobs for the
 /// batched kernel — and fans drained completions back to the owning
 /// reactor lanes via the engine's completion tokens.
-fn dispatch<O: Observer>(
-    handle: &EngineHandle<'_, O>,
+fn dispatch(
+    handle: &EngineHandle<'_>,
     jobs: mpsc::Receiver<RouteJob>,
     ctx: &SessionCtx<'_>,
     shared: &ReactorShared,
@@ -716,12 +753,7 @@ fn dispatch<O: Observer>(
                         drain_ns,
                         queued_at: Instant::now(),
                     }),
-                    account: Account::Served {
-                        tenant: p.tenant,
-                        request_id: p.request_id,
-                        records: p.records,
-                        arrival: p.arrival,
-                    },
+                    account: Account::Served,
                 },
                 Err(e) => {
                     ctx.telemetry.record_error(p.tenant);
@@ -790,12 +822,13 @@ fn dispatch<O: Observer>(
 }
 
 /// Submits the gathered jobs. With two or more full-width frames, they
-/// all go into one [`FrameBatch`] job (the engine's word-parallel batched
-/// kernel; each frame still drains as its own completion). Every other
-/// frame submits alone: a lone frame is sharded across the workers, and
-/// a wrong-width one is rejected per-frame by the engine's validation.
-fn flush_ready<O: Observer>(
-    handle: &EngineHandle<'_, O>,
+/// go into [`FrameBatch`] jobs of at most [`MAX_BATCH_CELLS`] cells each
+/// (the engine's word-parallel batched kernel; each frame still drains as
+/// its own completion). Every other frame submits alone: a lone frame is
+/// sharded across the workers, and a wrong-width one is rejected
+/// per-frame by the engine's validation.
+fn flush_ready(
+    handle: &EngineHandle<'_>,
     ctx: &SessionCtx<'_>,
     shared: &ReactorShared,
     pending: &mut HashMap<u64, Pending>,
@@ -807,9 +840,12 @@ fn flush_ready<O: Observer>(
     let (batched, singles): (Vec<_>, Vec<_>) = ready
         .drain(..)
         .partition(|j| batchable >= 2 && j.lines.len() == width);
-    if !batched.is_empty() {
-        let mut batch = FrameBatch::with_capacity(width, batched.len());
-        for job in &batched {
+    let per_batch = (MAX_BATCH_CELLS / width).max(1);
+    let mut batched = batched.into_iter().peekable();
+    while batched.peek().is_some() {
+        let jobs: Vec<RouteJob> = batched.by_ref().take(per_batch).collect();
+        let mut batch = FrameBatch::with_capacity(width, jobs.len());
+        for job in &jobs {
             batch.push_frame(&job.lines);
         }
         submit_jobs(
@@ -819,7 +855,7 @@ fn flush_ready<O: Observer>(
             pending,
             to_wake,
             Payload::Batch(batch),
-            batched,
+            jobs,
         );
     }
     for mut job in singles {
@@ -840,8 +876,8 @@ fn flush_ready<O: Observer>(
 /// in order, each tagged with its reply route, and records one
 /// [`Pending`] per frame. A job the engine refuses is answered with a
 /// RETRY per frame.
-fn submit_jobs<O: Observer>(
-    handle: &EngineHandle<'_, O>,
+fn submit_jobs(
+    handle: &EngineHandle<'_>,
     ctx: &SessionCtx<'_>,
     shared: &ReactorShared,
     pending: &mut HashMap<u64, Pending>,
@@ -887,10 +923,6 @@ fn refuse_job(
     reason: RetryReason,
 ) {
     SessionStats::bump(&ctx.stats.retries_issued);
-    ctx.counters.retry_issued(ThrottleEvent {
-        tenant: job.tenant,
-        reason: reason.as_u8(),
-    });
     ctx.telemetry.record_retry(job.tenant);
     shared.lanes[job.route.lane].push_completion(Completion {
         token: job.route.token,
@@ -921,8 +953,7 @@ fn error_chain(err: &dyn std::error::Error) -> String {
 
 /// Renders one HTTP operator response from a buffered request head:
 /// `/status` with the JSON [`StatusSnapshot`], any other path with the
-/// Prometheus 0.0.4 exposition of the shared counters plus the
-/// telemetry families.
+/// Prometheus 0.0.4 exposition of [`render_metrics`].
 pub(crate) fn render_http(head: &[u8], ctx: &SessionCtx<'_>) -> String {
     let path = http_path(head);
     let (content_type, body) = if path.starts_with("/status") {
@@ -930,9 +961,7 @@ pub(crate) fn render_http(head: &[u8], ctx: &SessionCtx<'_>) -> String {
             .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
         ("application/json", json)
     } else {
-        let mut body = render_prometheus(&ctx.counters.snapshot());
-        body.push_str(&render_prometheus_telemetry(&ctx.telemetry.snapshot()));
-        ("text/plain; version=0.0.4", body)
+        ("text/plain; version=0.0.4", render_metrics(ctx))
     };
     format!(
         "HTTP/1.1 200 OK\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
@@ -940,6 +969,133 @@ pub(crate) fn render_http(head: &[u8], ctx: &SessionCtx<'_>) -> String {
         body.len(),
         body
     )
+}
+
+/// The `/metrics` exposition: every serving-ledger count, the window
+/// high water, the fault plan's repair counts when a plan is live, then
+/// the request-lifecycle telemetry families.
+fn render_metrics(ctx: &SessionCtx<'_>) -> String {
+    let r = build_report(ctx);
+    let mut families = vec![
+        (
+            "bnb_connections_accepted_total",
+            "counter",
+            "Client connections accepted by the serving front door.",
+            r.connections_accepted,
+        ),
+        (
+            "bnb_connections_over_cap_total",
+            "counter",
+            "Accepted sockets closed at once because the connection cap was reached.",
+            r.connections_over_cap,
+        ),
+        (
+            "bnb_transient_accept_errors_total",
+            "counter",
+            "Accept failures the acceptor backed off from and survived.",
+            r.transient_accept_errors,
+        ),
+        (
+            "bnb_frames_submitted_total",
+            "counter",
+            "SUBMIT frames received.",
+            r.frames_submitted,
+        ),
+        (
+            "bnb_frames_served_total",
+            "counter",
+            "Frames routed and delivered back to clients.",
+            r.frames_served,
+        ),
+        (
+            "bnb_retries_issued_total",
+            "counter",
+            "Frames pushed back with an explicit RETRY response.",
+            r.retries_issued,
+        ),
+        (
+            "bnb_frames_errored_total",
+            "counter",
+            "Frames answered with an ERROR (validation, routing or authentication).",
+            r.frames_errored,
+        ),
+        (
+            "bnb_auth_failures_total",
+            "counter",
+            "Submits rejected because their authentication tag failed to verify.",
+            r.auth_failures,
+        ),
+        (
+            "bnb_responses_dropped_total",
+            "counter",
+            "Responses dropped because the client connection was gone.",
+            r.responses_dropped,
+        ),
+        (
+            "bnb_protocol_errors_total",
+            "counter",
+            "Connections that violated the wire protocol.",
+            r.protocol_errors,
+        ),
+        (
+            "bnb_reactor_wakeups_total",
+            "counter",
+            "Times a reactor lane was nudged awake through its wake pipe.",
+            r.reactor_wakeups,
+        ),
+        (
+            "bnb_engine_batches_total",
+            "counter",
+            "Frames the engine completed (served and errored).",
+            r.engine_batches,
+        ),
+        (
+            "bnb_engine_records_total",
+            "counter",
+            "Records in frames the engine routed successfully.",
+            r.engine_records,
+        ),
+        (
+            "bnb_max_window_depth",
+            "gauge",
+            "Deepest per-connection pipeline window observed.",
+            ctx.window_depth.load(Ordering::Acquire) as u64,
+        ),
+    ];
+    if let Some(plan) = ctx.plan.map(LiveFaultPlan::status) {
+        families.extend([
+            (
+                "bnb_scrub_probes_total",
+                "counter",
+                "Background scrubber probes of fabric shards.",
+                plan.scrub_probes,
+            ),
+            (
+                "bnb_shards_quarantined_total",
+                "counter",
+                "Fabric shards confirmed faulty and quarantined.",
+                plan.shards_quarantined,
+            ),
+            (
+                "bnb_shards_restored_total",
+                "counter",
+                "Quarantined fabric shards restored to service.",
+                plan.shards_restored,
+            ),
+            (
+                "bnb_hardware_faults_total",
+                "counter",
+                "Hardware faults detected by the output balance check.",
+                plan.hardware_faults,
+            ),
+        ]);
+    }
+    let mut out = String::new();
+    for (name, kind, help, value) in families {
+        write_family(&mut out, name, kind, help, value);
+    }
+    out.push_str(&render_prometheus_telemetry(&ctx.telemetry.snapshot()));
+    out
 }
 
 /// The request path from an HTTP request head (`GET <path> HTTP/1.1`);

@@ -150,6 +150,14 @@ pub struct ChaosReport {
     pub shards: usize,
     /// Whether every shard returned to service after the final clear.
     pub recovered: bool,
+    /// Scrubber probes of suspect or quarantined shards.
+    pub scrub_probes: u64,
+    /// Shards the scrubber confirmed faulty and quarantined.
+    pub shards_quarantined: u64,
+    /// Out-of-service shards the scrubber restored to service.
+    pub shards_restored: u64,
+    /// Hardware faults traffic detected.
+    pub hardware_faults: u64,
 }
 
 impl ChaosReport {
@@ -178,8 +186,8 @@ const RECOVERY_FRAME_BUDGET: usize = 10_000;
 /// frame while the engine routes; every delivered frame is checked
 /// against the healthy sequential route; after the script ends, every
 /// shard is cleared and traffic continues until the scrubber restores
-/// full capacity (bounded by a generous frame budget). Events flow to
-/// `observer`.
+/// full capacity (bounded by a generous frame budget). Kernel and engine
+/// events flow to `observer`; the repair counts come from the plan.
 pub fn chaos_engine_campaign<O: Observer>(
     schedule: &ChaosSchedule,
     workers: usize,
@@ -217,6 +225,10 @@ pub fn chaos_engine_campaign<O: Observer>(
         healthy_shards_at_end: 0,
         shards: schedule.shards,
         recovered: false,
+        scrub_probes: 0,
+        shards_quarantined: 0,
+        shards_restored: 0,
+        hardware_faults: 0,
     };
     engine.run_scrubbed(&plan, |h| {
         let mut next_op = 0usize;
@@ -268,6 +280,11 @@ pub fn chaos_engine_campaign<O: Observer>(
         report.healthy_shards_at_end = plan.healthy_shards();
         report.recovered = report.healthy_shards_at_end == schedule.shards;
     });
+    let repair = plan.status();
+    report.scrub_probes = repair.scrub_probes;
+    report.shards_quarantined = repair.shards_quarantined;
+    report.shards_restored = repair.shards_restored;
+    report.hardware_faults = repair.hardware_faults;
     report
 }
 

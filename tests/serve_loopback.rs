@@ -11,7 +11,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use bnb::obs::Counters;
 use bnb::serve::loadgen::{run_loadgen, LoadMode, LoadgenConfig, TenantLoad};
 use bnb::serve::server::{ServeConfig, ServeReport, Server, ServerControl, StatusSnapshot};
 
@@ -21,16 +20,14 @@ fn serve_scope<R: Send>(
     config: ServeConfig,
     body: impl FnOnce(&str, &Arc<ServerControl>) -> R + Send,
 ) -> (ServeReport, R) {
-    let counters = Counters::new();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap().to_string();
     let control = ServerControl::new();
 
     thread::scope(|s| {
         let server_control = Arc::clone(&control);
-        let counters_ref = &counters;
         let server = s.spawn(move || {
-            Server::new(config, counters_ref)
+            Server::new(config)
                 .serve(listener, &server_control)
                 .expect("serving session")
         });
@@ -45,7 +42,12 @@ fn serve_scope<R: Send>(
 
 /// Scrapes the server's /metrics endpoint over plain HTTP.
 fn scrape_metrics(addr: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect for scrape");
+    metrics_over(TcpStream::connect(addr).expect("connect for scrape"))
+}
+
+/// Sends `GET /metrics` on an already-open connection and returns the
+/// exposition body.
+fn metrics_over(mut stream: TcpStream) -> String {
     stream
         .write_all(b"GET /metrics HTTP/1.1\r\nHost: bnb\r\nConnection: close\r\n\r\n")
         .unwrap();
@@ -236,6 +238,17 @@ fn metrics_endpoint_speaks_prometheus_and_balances_the_ledger() {
         "scraped ledger must balance:\n{metrics}"
     );
     assert!(prom_counter(&metrics, "connections_accepted_total") >= 2);
+    // Each served frame is counted once: the ledger's count, the wire
+    // stage's request count and the client's tally are the same number.
+    assert_eq!(
+        prom_counter(&metrics, "serve_stage_requests{stage=\"wire\"}"),
+        served,
+        "{metrics}"
+    );
+    // The engine routes unobserved, so no kernel or engine family (nor
+    // its latency histogram) rides along on the serving exposition.
+    assert!(!metrics.contains("bnb_batch_latency_ns"), "{metrics}");
+    assert!(!metrics.contains("bnb_columns_total"), "{metrics}");
 
     assert_eq!(load.misdelivered, 0);
     assert!(
@@ -400,6 +413,53 @@ fn status_endpoint_reconciles_stage_sums_with_wire_latency() {
     assert_eq!(status.engine.batches, load.served + load.errored);
     assert_eq!(status.engine.records, load.served * 8);
     assert_eq!(status.inflight, 0, "drained before the scrape");
+
+    // The live ledger is the final report's ledger, mid-session.
+    let ledger = &status.ledger;
+    assert_eq!(ledger.frames_submitted, load.submitted, "{ledger:?}");
+    assert_eq!(ledger.frames_served, load.served, "{ledger:?}");
+    assert_eq!(ledger.frames_served, report.frames_served, "{ledger:?}");
+    assert!(ledger.graceful, "no listener failure so far");
+    assert!(ledger.connections_accepted >= 2, "{ledger:?}");
+}
+
+#[test]
+fn connections_over_the_cap_are_counted_in_report_and_exposition() {
+    let config = ServeConfig {
+        max_connections: 1,
+        reactor_threads: 1,
+        ..ServeConfig::default()
+    };
+    let (report, metrics) = serve_scope(config, |addr, _control| {
+        // The first socket takes the only slot; the next two are
+        // accepted and closed at once.
+        let held = TcpStream::connect(addr).expect("connect the first socket");
+        for _ in 0..2 {
+            let mut refused = TcpStream::connect(addr).expect("connect past the cap");
+            refused
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut byte = [0u8; 1];
+            // EOF (or a reset) shows the server took and closed it.
+            assert!(matches!(refused.read(&mut byte), Ok(0) | Err(_)));
+        }
+        // The held socket is still in its slot: scrape through it.
+        metrics_over(held)
+    });
+    assert_eq!(report.connections_over_cap, 2, "{report:?}");
+    assert_eq!(report.connections_accepted, 1, "{report:?}");
+    assert_eq!(
+        prom_counter(&metrics, "connections_over_cap_total"),
+        report.connections_over_cap,
+        "{metrics}"
+    );
+    assert_eq!(
+        prom_counter(&metrics, "connections_accepted_total"),
+        report.connections_accepted,
+        "{metrics}"
+    );
+    assert_eq!(prom_counter(&metrics, "transient_accept_errors_total"), 0);
+    assert!(report.accounted(), "{report:?}");
 }
 
 #[test]

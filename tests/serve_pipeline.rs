@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bnb::obs::Counters;
 use bnb::serve::loadgen::{run_loadgen, LoadMode, LoadgenConfig};
 use bnb::serve::protocol::{read_message, write_message, Message, RecvError, RetryReason};
 use bnb::serve::server::{ServeConfig, ServeReport, Server, ServerControl, StatusSnapshot};
@@ -40,16 +39,14 @@ fn serve_scope<R: Send>(
     keys: Option<TenantKeys>,
     body: impl FnOnce(&str, &Arc<ServerControl>) -> R + Send,
 ) -> (ServeReport, R) {
-    let counters = Counters::new();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().unwrap().to_string();
     let control = ServerControl::new();
 
     thread::scope(|s| {
         let server_control = Arc::clone(&control);
-        let counters_ref = &counters;
         let server = s.spawn(move || {
-            let mut server = Server::new(config, counters_ref);
+            let mut server = Server::new(config);
             if let Some(keys) = keys {
                 server = server.with_tenant_keys(keys);
             }
